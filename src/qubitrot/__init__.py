@@ -60,6 +60,7 @@ from .types import (
     InitialQubit,
     PulsePair,
     SimulationConfig,
+    SolverStats,
     StateVector,
     Trajectory,
     init_from_cw,

@@ -22,6 +22,7 @@ solver failure, 4 unsupported-regime flag combination.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -116,6 +117,8 @@ def load_config_file(path: str) -> dict:
 
 
 def _coerce(key: str, value, parser):
+    if isinstance(value, bool):
+        raise ConfigError(f"invalid value for key '{key}': {value!r}")
     if isinstance(value, str):
         try:
             return parser(value)
@@ -368,7 +371,10 @@ def _load_run_config(args) -> tuple[SimulationConfig, str | None]:
     else:
         raise ConfigError("one of --preset or --config is required")
     if args.samples is not None:
-        cfg = cfg.with_(samples=args.samples)
+        try:
+            cfg = cfg.with_(samples=args.samples)
+        except ValueError as exc:
+            raise ConfigError(f"--samples: {exc}") from exc
     return cfg, name
 
 
@@ -390,6 +396,7 @@ def cmd_simulate(args) -> int:
             "config": config_to_dict(cfg),
             "adiabatic": bool(args.adiabatic),
             "norm_drift_max": traj.max_norm_error,
+            "solver": dataclasses.asdict(traj.stats),
             "wall_time_s": wall,
             "output": str(out),
         },
@@ -406,6 +413,8 @@ def _load_sweep_spec(args) -> sweeps.SweepSpec:
         if not isinstance(preset, sweeps.SweepSpec):
             raise ConfigError(f"preset '{args.preset}' is a single run, not a sweep")
         spec = preset
+        if args.grid_points is not None and args.grid_points < 1:
+            raise ConfigError(f"--grid-points must be at least 1, got {args.grid_points}")
         if args.grid_points is not None and spec.parameter != "chirp_kind":
             lo, hi = float(spec.grid[0]), float(spec.grid[-1])
             spec = sweeps.SweepSpec(
@@ -422,7 +431,9 @@ def _load_sweep_spec(args) -> sweeps.SweepSpec:
         raise ConfigError("missing config key 'sweep_parameter'") from None
     if "sweep_grid" in entries:
         raw = [s.strip() for s in str(entries["sweep_grid"]).split(",") if s.strip()]
-        grid = tuple(raw) if parameter == "chirp_kind" else tuple(float(s) for s in raw)
+        if parameter != "chirp_kind":
+            raw = [_coerce("sweep_grid", s, float) for s in raw]
+        grid = tuple(raw)
     elif {"sweep_start", "sweep_stop", "sweep_points"} <= entries.keys():
         grid = tuple(
             np.linspace(
@@ -567,16 +578,18 @@ def _load_problem(path: str) -> tuple[control.ControlProblem, dict]:
         raise ConfigError(f"{path}: problem document must be a JSON object")
 
     target_doc = doc.get("target")
+
+    def target_values(keys):
+        return [_coerce(f"target.{k}", target_doc[k], float) for k in keys]
+
     if isinstance(target_doc, dict) and {"alpha", "beta", "phi"} <= target_doc.keys():
-        q = InitialQubit(float(target_doc["alpha"]), float(target_doc["beta"]), float(target_doc["phi"]))
-        target = q.amplitudes()
+        try:
+            target = InitialQubit(*target_values(("alpha", "beta", "phi"))).amplitudes()
+        except ValueError as exc:
+            raise ConfigError(f"key 'target': {exc}") from exc
     elif isinstance(target_doc, dict) and {"g_re", "g_im", "f_re", "f_im"} <= target_doc.keys():
-        target = np.array(
-            [
-                complex(float(target_doc["g_re"]), float(target_doc["g_im"])),
-                complex(float(target_doc["f_re"]), float(target_doc["f_im"])),
-            ]
-        )
+        g_re, g_im, f_re, f_im = target_values(("g_re", "g_im", "f_re", "f_im"))
+        target = np.array([complex(g_re, g_im), complex(f_re, f_im)])
     else:
         raise ConfigError(
             "key 'target': expected {alpha, beta, phi} or {g_re, g_im, f_re, f_im}"
@@ -587,24 +600,30 @@ def _load_problem(path: str) -> tuple[control.ControlProblem, dict]:
         raise ConfigError("key 'free_parameters': expected a non-empty object of [lo, hi] bounds")
     free_parameters = {}
     for name, bounds in free.items():
+        key = f"free_parameters.{name}"
         if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2):
-            raise ConfigError(f"key 'free_parameters.{name}': expected [lower, upper]")
-        free_parameters[str(name)] = (float(bounds[0]), float(bounds[1]))
+            raise ConfigError(f"key '{key}': expected [lower, upper]")
+        free_parameters[str(name)] = tuple(_coerce(key, v, float) for v in bounds)
 
-    base = build_config({str(k): v for k, v in doc.get("base", {}).items()})
+    base_doc = doc.get("base", {})
+    if not isinstance(base_doc, dict):
+        raise ConfigError("key 'base': expected an object of config keys")
+    base = build_config({str(k): v for k, v in base_doc.items()})
     try:
         problem = control.ControlProblem(
             target=target,
             free_parameters=free_parameters,
             base=base,
-            leak_weight=float(doc.get("leak_weight", 1.0)),
+            leak_weight=_coerce("leak_weight", doc.get("leak_weight", 1.0), float),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     options = {
-        "grid_points": int(doc.get("grid_points", 11)),
-        "eval_rel_tol": float(doc.get("eval_rel_tol", 1e-8)),
+        "grid_points": _coerce("grid_points", doc.get("grid_points", 11), int),
+        "eval_rel_tol": _coerce("eval_rel_tol", doc.get("eval_rel_tol", 1e-8), float),
     }
+    if options["grid_points"] < 1:
+        raise ConfigError(f"key 'grid_points': must be at least 1, got {options['grid_points']}")
     return problem, options
 
 

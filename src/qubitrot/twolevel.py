@@ -28,11 +28,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .dynamics import envelope, integrate
-from .errors import IntegrationError, UnsupportedRegimeError
-from .types import SimulationConfig, Trajectory
+from .dynamics import _dopri45, envelope, integrate
+from .errors import UnsupportedRegimeError
+from .types import SimulationConfig, SolverStats, Trajectory
 
 # The reduction divides by Delta; below this the approximation is undefined.
 MIN_ABS_DELTA = 1e-6
@@ -91,13 +90,15 @@ class TwoLevelTrajectory:
     p_g: np.ndarray
     p_f: np.ndarray
     max_norm_error: float
+    stats: SolverStats
 
 
 def integrate_two_level(cfg: SimulationConfig) -> TwoLevelTrajectory:
     """Propagate the reduced problem from (d_i, d_k) = (1, 0).
 
-    Uses the same adaptive scheme and tolerances as the full integration so
+    Uses the same adaptive stepper and tolerances as the full integration so
     that differences against it measure modeling error, not solver error.
+    Raises IntegrationError like :func:`~qubitrot.dynamics.integrate`.
     The mapping back to (P_g, P_f) is the exact unitary basis change
 
         d_g = alpha d_i + beta e^{-i phi} d_k,
@@ -131,20 +132,11 @@ def integrate_two_level(cfg: SimulationConfig) -> TwoLevelTrajectory:
         )
 
     grid = np.linspace(cfg.t_start, cfg.t_end, cfg.samples)
-    sol = solve_ivp(
-        rhs,
-        (cfg.t_start, cfg.t_end),
-        np.array([1.0 + 0j, 0.0 + 0j]),
-        method="RK45",
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        t_eval=grid,
+    stats = SolverStats()
+    samples = _dopri45(
+        rhs, cfg.t_start, [1.0 + 0j, 0j], grid.tolist(), cfg.rel_tol, cfg.abs_tol, stats
     )
-    if not sol.success:
-        t_fail = float(sol.t[-1]) if len(sol.t) else cfg.t_start
-        raise IntegrationError(sol.message or "two-level integration failed", t_fail)
-
-    d_i, d_k = sol.y
+    d_i, d_k = np.array(samples, dtype=complex).T
     d_g = alpha * d_i + bminus * d_k
     d_f = bplus * d_i - alpha * d_k
     norm_err = float(np.max(np.abs(np.abs(d_i) ** 2 + np.abs(d_k) ** 2 - 1.0)))
@@ -155,6 +147,7 @@ def integrate_two_level(cfg: SimulationConfig) -> TwoLevelTrajectory:
         p_g=np.abs(d_g) ** 2,
         p_f=np.abs(d_f) ** 2,
         max_norm_error=norm_err,
+        stats=stats,
     )
 
 

@@ -241,13 +241,28 @@ class SimulationConfig:
 
 
 @dataclass
+class SolverStats:
+    """Work of the adaptive stepper over one integration, all segments summed.
+
+    ``min_step`` is the smallest accepted step, including a step cut short
+    to land on the end of a segment.
+    """
+
+    rhs_evals: int = 0
+    accepted_steps: int = 0
+    rejected_steps: int = 0
+    min_step: float = math.inf
+
+
+@dataclass
 class Trajectory:
     """Sampled solution of one integration.
 
     ``states`` holds the rotated-frame amplitudes, one (e, g, f) row per
     sample; ``populations`` is exactly |states|^2. ``cos_phi`` and
     ``phi_signed`` describe the relative phase of the bare ground amplitudes
-    and are NaN where either ground amplitude vanishes.
+    and are NaN where either ground amplitude vanishes. ``stats`` records
+    what the stepper did.
     """
 
     times: np.ndarray
@@ -257,6 +272,7 @@ class Trajectory:
     phi_signed: np.ndarray
     config: SimulationConfig
     max_norm_error: float
+    stats: SolverStats
 
     @property
     def p_e(self) -> np.ndarray:

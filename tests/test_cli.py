@@ -1,10 +1,12 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from qubitrot.cli import build_config, load_config_file, main
+from qubitrot.dynamics import envelope, integrate
 
 FAST_BASE = """
 # light configuration for CLI round trips
@@ -236,3 +238,97 @@ class TestSolve:
     def test_malformed_problem_exits_2(self, tmp_path, capsys):
         path = _write(tmp_path, "bad.json", json.dumps({"target": {"alpha": 1.0}}))
         assert main(["solve", "--config", path, "--out", str(tmp_path / "x.json")]) == 2
+
+
+def _problem(**overrides) -> str:
+    doc = {
+        "target": {"alpha": 0.6, "beta": 0.8, "phi": 0.5},
+        "free_parameters": {"delta_tau": [30.0, 40.0]},
+        "base": {"alpha": 1.0, "phi": 0.0, "samples": 11},
+        "grid_points": 2,
+    }
+    doc.update(overrides)
+    return json.dumps(doc)
+
+
+SIMULATE = ["simulate", "--config", "{input}"]
+SOLVE = ["solve", "--config", "{input}"]
+SWEEP = ["sweep", "--config", "{input}"]
+
+
+@pytest.mark.parametrize(
+    "argv, text, code, fragment",
+    [
+        pytest.param(SIMULATE, "rel_tol = 1.0\n", 3, "norm drift", id="rel_tol-1"),
+        pytest.param(SIMULATE, "rel_tol = 0.01\n", 3, "norm drift", id="rel_tol-0.01"),
+        pytest.param(SIMULATE, '{"rel_tol": true}', 2, "'rel_tol'", id="bool-rel_tol"),
+        pytest.param(SIMULATE, '{"samples": false}', 2, "'samples'", id="bool-samples"),
+        pytest.param(SOLVE, _problem(grid_points="x"), 2, "'grid_points'", id="grid_points-str"),
+        pytest.param(SOLVE, _problem(grid_points=0), 2, "'grid_points'", id="grid_points-0"),
+        pytest.param(SOLVE, _problem(eval_rel_tol="x"), 2, "'eval_rel_tol'", id="eval_rel_tol"),
+        pytest.param(SOLVE, _problem(leak_weight=True), 2, "'leak_weight'", id="leak_weight"),
+        pytest.param(
+            SOLVE,
+            _problem(free_parameters={"delta_tau": ["a", 40.0]}),
+            2,
+            "'free_parameters.delta_tau'",
+            id="bounds",
+        ),
+        pytest.param(
+            SOLVE,
+            _problem(target={"alpha": 0.8, "beta": 0.8, "phi": 0.0}),
+            2,
+            "'target'",
+            id="target-unnormalized",
+        ),
+        pytest.param(SOLVE, _problem(base=[1, 2]), 2, "'base'", id="base-not-object"),
+        pytest.param(
+            SWEEP,
+            FAST_BASE + "sweep_parameter = delta_tau\nsweep_grid = 20, x\n",
+            2,
+            "'sweep_grid'",
+            id="sweep_grid-str",
+        ),
+        pytest.param(
+            ["sweep", "--preset", "fig2", "--grid-points", "0"], None, 2, "--grid-points",
+            id="grid-points-0",
+        ),
+        pytest.param(
+            ["simulate", "--preset", "fig9", "--samples", "1"], None, 2, "--samples",
+            id="samples-1",
+        ),
+    ],
+)
+def test_exit_code(tmp_path, capsys, argv, text, code, fragment):
+    path = _write(tmp_path, "input", text) if text is not None else None
+    argv = [path if a == "{input}" else a for a in argv] + ["--out", str(tmp_path / "out")]
+    assert main(argv) == code
+    assert fragment in capsys.readouterr().err
+
+
+def test_manifest_reports_solver_stats(tmp_path):
+    out = tmp_path / "run.csv"
+    assert main(["simulate", "--config", _write(tmp_path, "default.cfg", ""), "--out", str(out)]) == 0
+    solver = _read_manifest(out)["solver"]
+    cfg = build_config({})
+    calls = [0]
+
+    def counting(t):
+        calls[0] += 1
+        return envelope(t, cfg.pulses)
+
+    integrate(cfg, envelopes=counting)
+    assert solver["rhs_evals"] == calls[0]
+    assert solver["rhs_evals"] == 2 + 6 * (solver["accepted_steps"] + solver["rejected_steps"])
+    assert 0.0 < solver["min_step"] < 1.0
+
+
+def test_tolerance_below_100_eps_runs_as_requested(tmp_path):
+    cfg = _write(tmp_path, "tight.cfg", FAST_BASE + "rel_tol = 1e-16\n")
+    out = tmp_path / "tight.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    manifest = _read_manifest(out)
+    assert manifest["config"]["rel_tol"] == 1e-16
+    assert manifest["norm_drift_max"] <= 1e-8

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from qubitrot import (
     ChirpProfile,
@@ -20,6 +20,7 @@ from qubitrot import (
     envelope,
     integrate,
 )
+from qubitrot.dynamics import _make_rhs
 from oracles import rk4_final_state
 
 T_DEFAULT = 4.0 / 3.0
@@ -223,3 +224,58 @@ class TestIntegrate:
         reference = rk4_final_state(cfg, h=2e-4)
         for a, b in zip(adaptive, reference):
             assert abs(a - b) <= 1e-6
+
+    @pytest.mark.parametrize("kind", ["none", "linear", "tanh"])
+    @given(
+        alpha=st.floats(0.0, 1.0),
+        phi=st.floats(-math.pi, math.pi),
+        delta_tau=st.floats(-60.0, 60.0),
+        omega01=st.floats(0.0, 5.0),
+        omega02=st.floats(0.0, 5.0),
+        chi=st.floats(-2.0, 2.0),
+    )
+    @settings(max_examples=4, deadline=None)
+    def test_matches_fixed_step_oracle_drawn(
+        self, kind, alpha, phi, delta_tau, omega01, omega02, chi
+    ):
+        cfg = _cfg(
+            alpha=alpha,
+            phi=phi,
+            delta_tau=delta_tau,
+            omega01=omega01,
+            omega02=omega02,
+            chirp_kind=kind,
+            chi=chi,
+        ).with_(t_start=-4.0, t_end=6.0)
+        adaptive = integrate(cfg).states[-1]
+        reference = rk4_final_state(cfg, h=2e-4)
+        for a, b in zip(adaptive, reference):
+            assert abs(a - b) <= 1e-6
+
+    def test_matches_scipy_rk45_step_for_step(self):
+        # same tableau, step control and dense output as scipy's RK45, so the
+        # same RHS count and states equal to rounding
+        cfg = _cfg(delta_tau=45.0, omega01=3.0, omega02=3.0).with_(t_start=-4.0, t_end=6.0)
+        traj = integrate(cfg)
+        rhs = _make_rhs(cfg, None)
+        ref = solve_ivp(
+            rhs,
+            (cfg.t_start, cfg.t_end),
+            traj.states[0],
+            method="RK45",
+            rtol=cfg.rel_tol,
+            atol=cfg.abs_tol,
+            t_eval=traj.times,
+        )
+        assert traj.stats.rhs_evals == ref.nfev
+        assert np.max(np.abs(traj.states - ref.y.T)) <= 1e-13
+
+    def test_tolerance_below_100_eps_is_used(self):
+        # no hidden floor (scipy raised rel_tol to 100 eps): 1e-16 takes more
+        # steps than 100 eps once abs_tol does not dominate
+        cfg = _cfg(delta_tau=45.0, omega01=3.0, omega02=3.0)
+        cfg = cfg.with_(t_start=-1.0, t_end=0.5, abs_tol=1e-20)
+        fine = integrate(cfg.with_(rel_tol=1e-16))
+        floor = integrate(cfg.with_(rel_tol=100 * np.finfo(float).eps))
+        assert fine.stats.rhs_evals > floor.stats.rhs_evals
+        assert fine.max_norm_error <= 1e-8

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qubitrot import (
     DetuningSpec,
+    IntegrationError,
     UnsupportedRegimeError,
     base_config,
     compare_with_full,
@@ -85,6 +86,12 @@ class TestIntegrateTwoLevel:
     def test_norm_conserved(self):
         red = integrate_two_level(_cfg(delta_tau=45.0))
         assert red.max_norm_error <= 1e-8
+
+    def test_loose_tolerance_norm_drift_raises(self):
+        cfg = _cfg(delta_tau=45.0).with_(rel_tol=0.01)
+        with pytest.raises(IntegrationError, match="norm drift") as excinfo:
+            integrate_two_level(cfg)
+        assert cfg.t_start <= excinfo.value.time <= cfg.t_end
 
     def test_moderate_detuning_tracks_full_model(self):
         report = compare_with_full(_cfg(delta_tau=45.0))
