@@ -251,7 +251,11 @@ def _manifest_path(out: Path) -> Path:
     return out.with_suffix(".manifest.json")
 
 
-def trajectory_csv_lines(traj: Trajectory, cfg: SimulationConfig, *, adiabatic: bool) -> list[str]:
+def trajectory_csv_lines(
+    traj: Trajectory, cfg: SimulationConfig, *, adiabatic: bool, adiab: np.ndarray | None = None
+) -> list[str]:
+    """CSV lines of one trajectory; ``adiabatic`` adds the adiabatic-state
+    populations, taken from ``adiab`` if the caller already computed them."""
     header = [
         "t_over_tau",
         "re_d_e",
@@ -266,9 +270,9 @@ def trajectory_csv_lines(traj: Trajectory, cfg: SimulationConfig, *, adiabatic: 
         "cos_phi",
         "phi_signed",
     ]
-    adiab = None
     if adiabatic:
-        adiab = analysis.adiabatic_populations(traj, cfg)
+        if adiab is None:
+            adiab = analysis.adiabatic_populations(traj, cfg)
         header += ["p_a0", "p_a_plus", "p_a_minus"]
     lines = _config_comment_lines(cfg, {"command": "simulate"})
     lines.append(",".join(header))
@@ -288,7 +292,7 @@ def trajectory_csv_lines(traj: Trajectory, cfg: SimulationConfig, *, adiabatic: 
             traj.cos_phi[k],
             traj.phi_signed[k],
         ]
-        if adiab is not None:
+        if adiabatic:
             row += [adiab[k, 0], adiab[k, 1], adiab[k, 2]]
         lines.append(",".join(_fmt(v) for v in row))
     return lines
@@ -382,12 +386,11 @@ def cmd_simulate(args) -> int:
     cfg, preset = _load_run_config(args)
     t0 = time.perf_counter()
     traj = integrate(cfg)
-    if args.adiabatic:
-        # raises UnsupportedRegimeError (exit 4) for chirped or detuned bases
-        analysis.adiabatic_populations(traj, cfg)
+    # raises UnsupportedRegimeError (exit 4) for chirped or detuned bases
+    adiab = analysis.adiabatic_populations(traj, cfg) if args.adiabatic else None
     wall = time.perf_counter() - t0
     out = Path(args.out)
-    _write_text(out, trajectory_csv_lines(traj, cfg, adiabatic=args.adiabatic))
+    _write_text(out, trajectory_csv_lines(traj, cfg, adiabatic=args.adiabatic, adiab=adiab))
     _write_json(
         _manifest_path(out),
         {
@@ -505,6 +508,11 @@ def cmd_twolevel(args) -> int:
                 "final_p_f": report.final_dev_p_f,
                 "final_max": report.final_dev,
             },
+            "norm_drift_max": {"full": full.max_norm_error, "reduced": red.max_norm_error},
+            "solver": {
+                "full": dataclasses.asdict(full.stats),
+                "reduced": dataclasses.asdict(red.stats),
+            },
         },
     )
     print(f"wrote {out} (final deviation {report.final_dev:.4f})")
@@ -560,6 +568,8 @@ def cmd_stirap(args) -> int:
             "chop": args.chop,
             "fidelity_to_orthogonal": fid,
             "max_p_e": max_p_e,
+            "norm_drift_max": traj.max_norm_error,
+            "solver": dataclasses.asdict(traj.stats),
             "outputs": [str(out), str(env_path)],
         },
     )

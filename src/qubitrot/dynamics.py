@@ -22,7 +22,12 @@ undoing the frame, see :func:`rotated_to_bare`.
 Integration uses the package's own Dormand-Prince 5(4) stepper (Dormand &
 Prince, J. Comput. Appl. Math. 6, 19 (1980)) with the step control and
 4th-order dense output of Hairer, Norsett & Wanner, Solving ODEs I,
-sec. II.4-II.6, run on plain complex scalars. The state is never
+sec. II.4-II.6. It is written out as straight-line code over three complex
+scalar slots, one expression per slot for each stage sum, the error norm and
+the dense output. It takes the same steps as scipy's RK45 only while each sum
+and product keeps scipy's operation order. The two-level reduction runs on
+the same stepper with a zero third slot; the stepper's ``n`` argument, the
+divisor of the RMS error norm, is then 2. The state is never
 renormalized: norm drift is recorded as a diagnostic so integration bugs stay
 visible, and a drift beyond NORM_DRIFT_LIMIT aborts the run.
 """
@@ -155,11 +160,10 @@ def _make_rhs(cfg: SimulationConfig, envelopes: EnvelopePair | None):
     else:
         env = envelopes
 
-    def rhs(t, y):
+    def rhs(t, de, dg, df):
         w1, w2 = env(t)
         r1 = rate1(t) * inv_tau if rate1 else 0.0
         r2 = rate2(t) * inv_tau if rate2 else 0.0
-        de, dg, df = y
         return (
             1j * (d1 + r1) * de - 1j * (w1 * dg + w2 * df),
             -1j * w1.conjugate() * de,
@@ -200,43 +204,75 @@ _DENSE = (
 )
 
 
-def _rms(zs) -> float:
-    """RMS modulus of a sequence of complex scalars."""
-    sr = si = 0.0
-    for z in zs:
-        sr += z.real * z.real
-        si += z.imag * z.imag
-    return math.sqrt(sr + si) / len(zs) ** 0.5
-
-
-def _dopri45(rhs, t: float, y, t_eval, rel_tol: float, abs_tol: float, stats: SolverStats):
+def _dopri45(
+    rhs, t: float, y, t_eval, rel_tol: float, abs_tol: float, stats: SolverStats, n: int = 3
+):
     """Dormand-Prince 5(4) from state ``y`` at ``t`` through the times ``t_eval``.
 
-    ``y`` is a sequence of complex scalars of any length, and ``rhs(t, y)``
-    returns a sequence of the same length. ``t_eval`` is increasing, lies in
-    [t, t_eval[-1]], and its last entry is where the integration stops.
-    Returns one state per sample time, read off the 4th-order dense output.
+    The state is three complex scalars (a, b, c), and ``rhs(t, a, b, c)``
+    returns their three derivatives; the stepper is written out slot by slot
+    rather than over a sequence. ``n`` is the number of slots that count in
+    the RMS error norm, i.e. its divisor: a two-component system runs with an
+    identically zero third slot and ``n=2``, and since adding 0.0 to a sum of
+    squares is exact it takes the steps it would take on two slots.
+    ``t_eval`` is increasing, lies in [t, t_eval[-1]], and its last entry is
+    where the integration stops. Returns one (a, b, c) tuple per sample time,
+    read off the 4th-order dense output.
 
     Step control follows Hairer, Norsett & Wanner, sec. II.4: an initial step
     from the first two derivatives, the RMS error norm against
     abs_tol + rel_tol |y|, safety factor 0.9, a step factor kept in [0.2, 10]
     and at most 1 right after a rejection, and a minimum step of 10 ulp of t.
-    Sums and products run in the order scipy's RK45 computes them, so both
-    take the same steps; keep that order when editing. The stepper's work is
-    added to ``stats``.
+    Every sum and product runs in the order scipy's RK45 computes it, so both
+    take the same steps and give the same states; that holds only while the
+    order is kept, so keep it when editing. The stepper's work is added to
+    ``stats``.
 
     Raises IntegrationError at the time of failure if the step underflows, or
     if a sample's |norm^2 - 1| exceeds NORM_DRIFT_LIMIT (the flows integrated
     here are unitary).
     """
     t_end = t_eval[-1]
-    f = rhs(t, y)
-    inv = [1.0 / (abs_tol + abs(yi) * rel_tol) for yi in y]
-    d0 = _rms([yi * r for yi, r in zip(y, inv)])
-    d1 = _rms([fi * r for fi, r in zip(f, inv)])
+    rn = n**0.5
+    (
+        (w21, w23, w24, w25, w26, w27),
+        (w31, w33, w34, w35, w36, w37),
+        (w41, w43, w44, w45, w46, w47),
+    ) = _DENSE
+    ya, yb, yc = y
+    k1a, k1b, k1c = rhs(t, ya, yb, yc)
+    ia = 1.0 / (abs_tol + abs(ya) * rel_tol)
+    ib = 1.0 / (abs_tol + abs(yb) * rel_tol)
+    ic = 1.0 / (abs_tol + abs(yc) * rel_tol)
+    # RMS norms: the real squares summed over the slots, then the imaginary
+    # ones, as numpy's complex vector norm sums them
+    za, zb, zc = ya * ia, yb * ib, yc * ic
+    d0 = math.sqrt(
+        za.real * za.real
+        + zb.real * zb.real
+        + zc.real * zc.real
+        + (za.imag * za.imag + zb.imag * zb.imag + zc.imag * zc.imag)
+    ) / rn
+    za, zb, zc = k1a * ia, k1b * ib, k1c * ic
+    d1 = math.sqrt(
+        za.real * za.real
+        + zb.real * zb.real
+        + zc.real * zc.real
+        + (za.imag * za.imag + zb.imag * zb.imag + zc.imag * zc.imag)
+    ) / rn
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end - t)
-    f1 = rhs(t + h0, [yi + h0 * fi for yi, fi in zip(y, f)])
-    d2 = _rms([(b - a) * r for a, b, r in zip(f, f1, inv)]) / h0
+    fa, fb, fc = rhs(t + h0, ya + h0 * k1a, yb + h0 * k1b, yc + h0 * k1c)
+    za, zb, zc = (fa - k1a) * ia, (fb - k1b) * ib, (fc - k1c) * ic
+    d2 = (
+        math.sqrt(
+            za.real * za.real
+            + zb.real * zb.real
+            + zc.real * zc.real
+            + (za.imag * za.imag + zb.imag * zb.imag + zc.imag * zc.imag)
+        )
+        / rn
+        / h0
+    )
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -255,65 +291,133 @@ def _dopri45(rhs, t: float, y, t_eval, rel_tol: float, abs_tol: float, stats: So
                 raise IntegrationError("step size fell below 10 ulp of t", t)
             t_new = min(t + h_abs, t_end)
             h = h_abs = t_new - t
-            k1 = f
-            k2 = rhs(t + 1 / 5 * h, [yi + (1 / 5 * a) * h for yi, a in zip(y, k1)])
-            k3 = rhs(
+            k2a, k2b, k2c = rhs(
+                t + 1 / 5 * h,
+                ya + (1 / 5 * k1a) * h,
+                yb + (1 / 5 * k1b) * h,
+                yc + (1 / 5 * k1c) * h,
+            )
+            k3a, k3b, k3c = rhs(
                 t + 3 / 10 * h,
-                [yi + (3 / 40 * a + 9 / 40 * b) * h for yi, a, b in zip(y, k1, k2)],
+                ya + (3 / 40 * k1a + 9 / 40 * k2a) * h,
+                yb + (3 / 40 * k1b + 9 / 40 * k2b) * h,
+                yc + (3 / 40 * k1c + 9 / 40 * k2c) * h,
             )
-            k4 = rhs(
+            k4a, k4b, k4c = rhs(
                 t + 4 / 5 * h,
-                [
-                    yi + (44 / 45 * a - 56 / 15 * b + 32 / 9 * c) * h
-                    for yi, a, b, c in zip(y, k1, k2, k3)
-                ],
+                ya + (44 / 45 * k1a - 56 / 15 * k2a + 32 / 9 * k3a) * h,
+                yb + (44 / 45 * k1b - 56 / 15 * k2b + 32 / 9 * k3b) * h,
+                yc + (44 / 45 * k1c - 56 / 15 * k2c + 32 / 9 * k3c) * h,
             )
-            k5 = rhs(
+            k5a, k5b, k5c = rhs(
                 t + 8 / 9 * h,
-                [
-                    yi
-                    + (19372 / 6561 * a - 25360 / 2187 * b + 64448 / 6561 * c - 212 / 729 * d)
-                    * h
-                    for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-                ],
+                ya
+                + (19372 / 6561 * k1a - 25360 / 2187 * k2a + 64448 / 6561 * k3a - 212 / 729 * k4a)
+                * h,
+                yb
+                + (19372 / 6561 * k1b - 25360 / 2187 * k2b + 64448 / 6561 * k3b - 212 / 729 * k4b)
+                * h,
+                yc
+                + (19372 / 6561 * k1c - 25360 / 2187 * k2c + 64448 / 6561 * k3c - 212 / 729 * k4c)
+                * h,
             )
-            k6 = rhs(
+            k6a, k6b, k6c = rhs(
                 t + h,
-                [
-                    yi
-                    + (
-                        9017 / 3168 * a
-                        - 355 / 33 * b
-                        + 46732 / 5247 * c
-                        + 49 / 176 * d
-                        - 5103 / 18656 * e
-                    )
-                    * h
-                    for yi, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
-                ],
+                ya
+                + (
+                    9017 / 3168 * k1a
+                    - 355 / 33 * k2a
+                    + 46732 / 5247 * k3a
+                    + 49 / 176 * k4a
+                    - 5103 / 18656 * k5a
+                )
+                * h,
+                yb
+                + (
+                    9017 / 3168 * k1b
+                    - 355 / 33 * k2b
+                    + 46732 / 5247 * k3b
+                    + 49 / 176 * k4b
+                    - 5103 / 18656 * k5b
+                )
+                * h,
+                yc
+                + (
+                    9017 / 3168 * k1c
+                    - 355 / 33 * k2c
+                    + 46732 / 5247 * k3c
+                    + 49 / 176 * k4c
+                    - 5103 / 18656 * k5c
+                )
+                * h,
             )
-            y_new = [
-                yi
-                + h
-                * (35 / 384 * a + 500 / 1113 * c + 125 / 192 * d - 2187 / 6784 * e + 11 / 84 * g)
-                for yi, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)
-            ]
-            k7 = rhs(t + h, y_new)
+            na = ya + h * (
+                35 / 384 * k1a
+                + 500 / 1113 * k3a
+                + 125 / 192 * k4a
+                - 2187 / 6784 * k5a
+                + 11 / 84 * k6a
+            )
+            nb = yb + h * (
+                35 / 384 * k1b
+                + 500 / 1113 * k3b
+                + 125 / 192 * k4b
+                - 2187 / 6784 * k5b
+                + 11 / 84 * k6b
+            )
+            nc = yc + h * (
+                35 / 384 * k1c
+                + 500 / 1113 * k3c
+                + 125 / 192 * k4c
+                - 2187 / 6784 * k5c
+                + 11 / 84 * k6c
+            )
+            k7a, k7b, k7c = rhs(t + h, na, nb, nc)
             stats.rhs_evals += 6
-            error = _rms(
-                [
-                    (
-                        -71 / 57600 * a
-                        + 71 / 16695 * c
-                        - 71 / 1920 * d
-                        + 17253 / 339200 * e
-                        - 22 / 525 * g
-                        + 1 / 40 * k
-                    )
-                    * h
-                    * (1.0 / (abs_tol + max(abs(yi), abs(yn)) * rel_tol))
-                    for yi, yn, a, c, d, e, g, k in zip(y, y_new, k1, k3, k4, k5, k6, k7)
-                ]
+            za = (
+                (
+                    -71 / 57600 * k1a
+                    + 71 / 16695 * k3a
+                    - 71 / 1920 * k4a
+                    + 17253 / 339200 * k5a
+                    - 22 / 525 * k6a
+                    + 1 / 40 * k7a
+                )
+                * h
+                * (1.0 / (abs_tol + max(abs(ya), abs(na)) * rel_tol))
+            )
+            zb = (
+                (
+                    -71 / 57600 * k1b
+                    + 71 / 16695 * k3b
+                    - 71 / 1920 * k4b
+                    + 17253 / 339200 * k5b
+                    - 22 / 525 * k6b
+                    + 1 / 40 * k7b
+                )
+                * h
+                * (1.0 / (abs_tol + max(abs(yb), abs(nb)) * rel_tol))
+            )
+            zc = (
+                (
+                    -71 / 57600 * k1c
+                    + 71 / 16695 * k3c
+                    - 71 / 1920 * k4c
+                    + 17253 / 339200 * k5c
+                    - 22 / 525 * k6c
+                    + 1 / 40 * k7c
+                )
+                * h
+                * (1.0 / (abs_tol + max(abs(yc), abs(nc)) * rel_tol))
+            )
+            error = (
+                math.sqrt(
+                    za.real * za.real
+                    + zb.real * zb.real
+                    + zc.real * zc.real
+                    + (za.imag * za.imag + zb.imag * zb.imag + zc.imag * zc.imag)
+                )
+                / rn
             )
             if error < 1:
                 factor = 10.0 if error == 0 else min(10.0, 0.9 * error**-0.2)
@@ -326,31 +430,40 @@ def _dopri45(rhs, t: float, y, t_eval, rel_tol: float, abs_tol: float, stats: So
         stats.min_step = min(stats.min_step, h)
 
         if j < m and t_eval[j] <= t_new:
-            # coefficients of the quartic dense output (Shampine 1986)
-            q2, q3, q4 = (
-                [
-                    p0 * a + p2 * c + p3 * d + p4 * e + p5 * g + p6 * k
-                    for a, c, d, e, g, k in zip(k1, k3, k4, k5, k6, k7)
-                ]
-                for p0, p2, p3, p4, p5, p6 in _DENSE
-            )
+            # coefficients of the quartic dense output (Shampine 1986); w<i><s>
+            # weighs stage s in the coefficient of x^i
+            q2a = w21 * k1a + w23 * k3a + w24 * k4a + w25 * k5a + w26 * k6a + w27 * k7a
+            q2b = w21 * k1b + w23 * k3b + w24 * k4b + w25 * k5b + w26 * k6b + w27 * k7b
+            q2c = w21 * k1c + w23 * k3c + w24 * k4c + w25 * k5c + w26 * k6c + w27 * k7c
+            q3a = w31 * k1a + w33 * k3a + w34 * k4a + w35 * k5a + w36 * k6a + w37 * k7a
+            q3b = w31 * k1b + w33 * k3b + w34 * k4b + w35 * k5b + w36 * k6b + w37 * k7b
+            q3c = w31 * k1c + w33 * k3c + w34 * k4c + w35 * k5c + w36 * k6c + w37 * k7c
+            q4a = w41 * k1a + w43 * k3a + w44 * k4a + w45 * k5a + w46 * k6a + w47 * k7a
+            q4b = w41 * k1b + w43 * k3b + w44 * k4b + w45 * k5b + w46 * k6b + w47 * k7b
+            q4c = w41 * k1c + w43 * k3c + w44 * k4c + w45 * k5c + w46 * k6c + w47 * k7c
             while j < m and t_eval[j] <= t_new:
                 x = (t_eval[j] - t) / h
                 x2 = x * x
                 x3 = x2 * x
                 x4 = x3 * x
-                sample = [
-                    yi + h * (a * x + b * x2 + c * x3 + d * x4)
-                    for yi, a, b, c, d in zip(y, k1, q2, q3, q4)
-                ]
-                drift = sum([z.real * z.real + z.imag * z.imag for z in sample]) - 1.0
+                sa = ya + h * (k1a * x + q2a * x2 + q3a * x3 + q4a * x4)
+                sb = yb + h * (k1b * x + q2b * x2 + q3b * x3 + q4b * x4)
+                sc = yc + h * (k1c * x + q2c * x2 + q3c * x3 + q4c * x4)
+                drift = (
+                    sa.real * sa.real
+                    + sa.imag * sa.imag
+                    + (sb.real * sb.real + sb.imag * sb.imag)
+                    + (sc.real * sc.real + sc.imag * sc.imag)
+                    - 1.0
+                )
                 if not abs(drift) <= NORM_DRIFT_LIMIT:
                     raise IntegrationError(
                         f"norm drift {abs(drift):.3g} exceeds {NORM_DRIFT_LIMIT}", t_eval[j]
                     )
-                out.append(sample)
+                out.append((sa, sb, sc))
                 j += 1
-        t, y, f = t_new, y_new, k7
+        t, ya, yb, yc = t_new, na, nb, nc
+        k1a, k1b, k1c = k7a, k7b, k7c
     return out
 
 

@@ -93,16 +93,12 @@ class TwoLevelTrajectory:
     stats: SolverStats
 
 
-def integrate_two_level(cfg: SimulationConfig) -> TwoLevelTrajectory:
-    """Propagate the reduced problem from (d_i, d_k) = (1, 0).
+def _make_reduced_rhs(cfg: SimulationConfig):
+    """Closure evaluating (d_i', d_k'), with a third slot that stays zero.
 
-    Uses the same adaptive stepper and tolerances as the full integration so
-    that differences against it measure modeling error, not solver error.
-    Raises IntegrationError like :func:`~qubitrot.dynamics.integrate`.
-    The mapping back to (P_g, P_f) is the exact unitary basis change
-
-        d_g = alpha d_i + beta e^{-i phi} d_k,
-        d_f = beta e^{i phi} d_i - alpha d_k.
+    The stepper integrates three slots; the reduced problem runs on the first
+    two with the third padded by 0j. Raises UnsupportedRegimeError outside the
+    regime of the reduction.
     """
     delta = _check_regime(cfg)
     q = cfg.initial
@@ -116,7 +112,7 @@ def integrate_two_level(cfg: SimulationConfig) -> TwoLevelTrajectory:
     bminus = bplus.conjugate()
     inv_delta = 1.0 / delta
 
-    def rhs(t, y):
+    def rhs(t, di, dk, _):
         x1 = (t - c1) * inv_tau
         x2 = (t - c2) * inv_tau
         w1c = (o1 * math.exp(-x1 * x1)).conjugate()
@@ -125,18 +121,37 @@ def integrate_two_level(cfg: SimulationConfig) -> TwoLevelTrajectory:
         f2 = bplus * w1c - alpha * w2c
         omega_e = f1 * f2.conjugate() * inv_delta
         delta_e = (abs(f1) ** 2 - abs(f2) ** 2) * 0.5 * inv_delta
-        di, dk = y
         return (
             -1j * (delta_e * di + omega_e * dk),
             -1j * (omega_e.conjugate() * di - delta_e * dk),
+            0j,
         )
 
+    return rhs
+
+
+def integrate_two_level(cfg: SimulationConfig) -> TwoLevelTrajectory:
+    """Propagate the reduced problem from (d_i, d_k) = (1, 0).
+
+    Uses the same adaptive stepper and tolerances as the full integration so
+    that differences against it measure modeling error, not solver error.
+    Raises IntegrationError like :func:`~qubitrot.dynamics.integrate`.
+    The mapping back to (P_g, P_f) is the exact unitary basis change
+
+        d_g = alpha d_i + beta e^{-i phi} d_k,
+        d_f = beta e^{i phi} d_i - alpha d_k.
+    """
+    rhs = _make_reduced_rhs(cfg)
+    q = cfg.initial
+    alpha = q.alpha
+    bplus = q.beta * cmath.exp(1j * q.phi)
+    bminus = bplus.conjugate()
     grid = np.linspace(cfg.t_start, cfg.t_end, cfg.samples)
     stats = SolverStats()
     samples = _dopri45(
-        rhs, cfg.t_start, [1.0 + 0j, 0j], grid.tolist(), cfg.rel_tol, cfg.abs_tol, stats
+        rhs, cfg.t_start, (1.0 + 0j, 0j, 0j), grid.tolist(), cfg.rel_tol, cfg.abs_tol, stats, n=2
     )
-    d_i, d_k = np.array(samples, dtype=complex).T
+    d_i, d_k, _ = np.array(samples, dtype=complex).T
     d_g = alpha * d_i + bminus * d_k
     d_f = bplus * d_i - alpha * d_k
     norm_err = float(np.max(np.abs(np.abs(d_i) ** 2 + np.abs(d_k) ** 2 - 1.0)))

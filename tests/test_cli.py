@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -7,6 +8,9 @@ import pytest
 
 from qubitrot.cli import build_config, load_config_file, main
 from qubitrot.dynamics import envelope, integrate
+from qubitrot.stirap import orthogonal_transfer
+from qubitrot.twolevel import integrate_two_level
+from qubitrot.types import InitialQubit
 
 FAST_BASE = """
 # light configuration for CLI round trips
@@ -321,6 +325,31 @@ def test_manifest_reports_solver_stats(tmp_path):
     assert solver["rhs_evals"] == calls[0]
     assert solver["rhs_evals"] == 2 + 6 * (solver["accepted_steps"] + solver["rejected_steps"])
     assert 0.0 < solver["min_step"] < 1.0
+
+    # twolevel reports the full and the reduced run, each as a direct run does
+    fast = _write(tmp_path, "fast.cfg", FAST_BASE)
+    out = tmp_path / "twolevel.csv"
+    assert main(["twolevel", "--config", fast, "--out", str(out)]) == 0
+    manifest = _read_manifest(out)
+    cfg = build_config(load_config_file(fast))
+    full, reduced = integrate(cfg), integrate_two_level(cfg)
+    assert manifest["solver"] == {
+        "full": dataclasses.asdict(full.stats),
+        "reduced": dataclasses.asdict(reduced.stats),
+    }
+    assert manifest["norm_drift_max"] == {
+        "full": full.max_norm_error,
+        "reduced": reduced.max_norm_error,
+    }
+    # the --config round trip still reads only the config block
+    assert build_config(load_config_file(str(out.with_suffix(".manifest.json")))) == cfg
+
+    out = tmp_path / "stirap.csv"
+    assert main(["stirap", "--alpha", "0.3", "--out", str(out)]) == 0
+    manifest = _read_manifest(out)
+    traj = orthogonal_transfer(InitialQubit(0.3, math.sqrt(1 - 0.3**2), math.pi / 2)).trajectory
+    assert manifest["solver"] == dataclasses.asdict(traj.stats)
+    assert manifest["norm_drift_max"] == traj.max_norm_error <= 1e-8
 
 
 def test_tolerance_below_100_eps_runs_as_requested(tmp_path):

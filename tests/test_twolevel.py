@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
 from qubitrot import (
     DetuningSpec,
@@ -14,6 +15,7 @@ from qubitrot import (
     envelope,
     integrate_two_level,
 )
+from qubitrot.twolevel import _make_reduced_rhs
 
 
 def _cfg(**kw):
@@ -92,6 +94,24 @@ class TestIntegrateTwoLevel:
         with pytest.raises(IntegrationError, match="norm drift") as excinfo:
             integrate_two_level(cfg)
         assert cfg.t_start <= excinfo.value.time <= cfg.t_end
+
+    def test_matches_scipy_rk45_step_for_step(self):
+        # the stepper pads the reduced pair with a zero third slot and divides
+        # its error norm by n=2, so it takes scipy's RK45 steps on two slots
+        cfg = _cfg(delta_tau=45.0).with_(t_start=-4.0, t_end=6.0)
+        red = integrate_two_level(cfg)
+        rhs = _make_reduced_rhs(cfg)
+        ref = solve_ivp(
+            lambda t, y: rhs(t, y[0], y[1], 0j)[:2],
+            (cfg.t_start, cfg.t_end),
+            np.array([1.0 + 0j, 0j]),
+            method="RK45",
+            rtol=cfg.rel_tol,
+            atol=cfg.abs_tol,
+            t_eval=red.times,
+        )
+        assert red.stats.rhs_evals == ref.nfev
+        assert np.max(np.abs(np.stack([red.d_i, red.d_k], axis=1) - ref.y.T)) <= 1e-13
 
     def test_moderate_detuning_tracks_full_model(self):
         report = compare_with_full(_cfg(delta_tau=45.0))
