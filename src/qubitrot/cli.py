@@ -49,37 +49,8 @@ from .types import (
 
 WORKERS_ENV = "QUBITROT_WORKERS"
 
-# key -> (parser, default); defaults mirror the common base scenario
-_CONFIG_KEYS = {
-    "alpha": (float, sweeps.BASE_ALPHA),
-    "beta": (float, None),  # derived from alpha when omitted
-    "phi": (float, sweeps.BASE_PHI),
-    "omega01_tau": (float, sweeps.BASE_OMEGA),
-    "omega02_tau": (float, sweeps.BASE_OMEGA),
-    "T_over_tau": (float, sweeps.BASE_T),
-    "delta": (float, 0.0),
-    "delta_tau": (float, None),  # sets both detunings
-    "delta1_tau": (float, None),
-    "delta2_tau": (float, None),
-    "chirp1_kind": (str, "none"),
-    "chi1": (float, 0.0),
-    "chirp2_kind": (str, "none"),
-    "chi2": (float, 0.0),
-    "origin_over_tau": (float, 0.0),
-    "t_start_over_tau": (float, -8.0),
-    "t_end_over_tau": (float, 15.0),
-    "samples": (int, 601),
-    "rel_tol": (float, 1e-10),
-    "abs_tol": (float, 1e-12),
-}
-
-_SWEEP_KEYS = {
-    "sweep_parameter": str,
-    "sweep_grid": str,
-    "sweep_start": float,
-    "sweep_stop": float,
-    "sweep_points": int,
-}
+# sweep-file keys that build_config skips; _load_sweep_spec reads them
+_SWEEP_KEYS = ("sweep_parameter", "sweep_grid", "sweep_start", "sweep_stop", "sweep_points")
 
 
 def _parse_keyvalue_text(text: str, path: str) -> dict[str, str]:
@@ -128,41 +99,43 @@ def _coerce(key: str, value, parser):
         return float(value)
     if parser is int and isinstance(value, int):
         return value
-    if parser is str and isinstance(value, str):
-        return value
     raise ConfigError(f"invalid value for key '{key}': {value!r}")
 
 
 def build_config(entries: dict, *, allow_sweep_keys: bool = False) -> SimulationConfig:
     """Turn a flat key/value mapping into a validated SimulationConfig.
 
-    Raises ConfigError naming the offending key for unknown keys, unparsable
-    values, and violated invariants.
+    Every key of ``config_to_dict`` is accepted, with the default and the
+    type of the base scenario; ``delta_tau`` sets both detunings. An omitted
+    ``beta`` follows ``alpha`` and an omitted ``delta2_tau`` follows
+    ``delta1_tau``. Raises ConfigError naming the offending key for unknown
+    keys, unparsable values, and violated invariants.
     """
-    values: dict = {}
+    values = dict(_DEFAULTS)
     for key, raw in entries.items():
         if allow_sweep_keys and key in _SWEEP_KEYS:
             continue
-        if key not in _CONFIG_KEYS:
+        if key == "delta_tau":
+            values[key] = _coerce(key, raw, float)
+        elif key in _DEFAULTS:
+            values[key] = _coerce(key, raw, type(_DEFAULTS[key]))
+        else:
             raise ConfigError(f"unknown config key '{key}'")
-        values[key] = _coerce(key, raw, _CONFIG_KEYS[key][0])
-    for key, (_, default) in _CONFIG_KEYS.items():
-        values.setdefault(key, default)
 
     alpha = values["alpha"]
     beta = values["beta"]
-    if beta is None:
+    if "beta" not in entries:
         if not 0.0 <= alpha <= 1.0:
             raise ConfigError(f"key 'alpha': must lie in [0, 1], got {alpha}")
         beta = math.sqrt(max(0.0, 1.0 - alpha * alpha))
 
-    if values["delta_tau"] is not None:
-        if values["delta1_tau"] is not None or values["delta2_tau"] is not None:
+    if "delta_tau" in entries:
+        if "delta1_tau" in entries or "delta2_tau" in entries:
             raise ConfigError("key 'delta_tau' conflicts with 'delta1_tau'/'delta2_tau'")
         d1 = d2 = values["delta_tau"]
     else:
-        d1 = values["delta1_tau"] if values["delta1_tau"] is not None else sweeps.BASE_DELTA_TAU
-        d2 = values["delta2_tau"] if values["delta2_tau"] is not None else d1
+        d1 = values["delta1_tau"]
+        d2 = values["delta2_tau"] if "delta2_tau" in entries else d1
 
     for key in ("chirp1_kind", "chirp2_kind"):
         if values[key] not in CHIRP_KINDS:
@@ -217,24 +190,36 @@ def config_to_dict(cfg: SimulationConfig) -> dict:
     }
 
 
+# the one source of config defaults and key types (float, str, int)
+_DEFAULTS = config_to_dict(sweeps.base_config())
+
+
 # ---------------------------------------------------------------------------
 # output formatting
 # ---------------------------------------------------------------------------
 
 
 def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, str):
-        return x
-    return format(float(x), ".17g")
+    return x if isinstance(x, str) else "%.17g" % x
 
 
-def _config_comment_lines(cfg: SimulationConfig, extra: dict | None = None) -> list[str]:
-    lines = [f"# {k} = {_fmt(v)}" for k, v in config_to_dict(cfg).items()]
-    for k, v in (extra or {}).items():
-        lines.insert(0, f"# {k} = {v}")
-    return lines
+def _config_comment_lines(cfg: SimulationConfig, extra: dict) -> list[str]:
+    """``# key = value`` lines: ``extra`` in reverse order, then the config."""
+    return [f"# {k} = {v}" for k, v in reversed(extra.items())] + [
+        f"# {k} = {_fmt(v)}" for k, v in config_to_dict(cfg).items()
+    ]
+
+
+def _table_lines(header: str, columns: list) -> list[str]:
+    """``header`` plus one CSV line per row of equal-length ``columns``.
+
+    A column of str is written as it is; any other column is formatted as
+    float64 with "%.17g", which reads back to the same value.
+    """
+    text = [isinstance(col[0], str) for col in columns]
+    row = ",".join("%s" if t else "%.17g" for t in text)
+    cells = [col if t else np.asarray(col, dtype=float).tolist() for col, t in zip(columns, text)]
+    return [header] + [row % r for r in zip(*cells)]
 
 
 def _write_text(path: Path, lines: list[str]) -> None:
@@ -252,76 +237,42 @@ def _manifest_path(out: Path) -> Path:
 
 
 def trajectory_csv_lines(
-    traj: Trajectory, cfg: SimulationConfig, *, adiabatic: bool, adiab: np.ndarray | None = None
+    traj: Trajectory,
+    cfg: SimulationConfig,
+    *,
+    adiabatic: bool,
+    adiab: np.ndarray | None = None,
+    command: str = "simulate",
 ) -> list[str]:
     """CSV lines of one trajectory; ``adiabatic`` adds the adiabatic-state
-    populations, taken from ``adiab`` if the caller already computed them."""
-    header = [
-        "t_over_tau",
-        "re_d_e",
-        "im_d_e",
-        "re_d_g",
-        "im_d_g",
-        "re_d_f",
-        "im_d_f",
-        "p_e",
-        "p_g",
-        "p_f",
-        "cos_phi",
-        "phi_signed",
-    ]
+    populations, taken from ``adiab`` if the caller already computed them.
+    ``command`` names the subcommand in the comment header."""
+    header = "t_over_tau,re_d_e,im_d_e,re_d_g,im_d_g,re_d_f,im_d_f,p_e,p_g,p_f,cos_phi,phi_signed"
+    d, pops = traj.states, traj.populations
+    columns = [traj.times]
+    for j in range(3):
+        columns += [d[:, j].real, d[:, j].imag]
+    columns += [pops[:, 0], pops[:, 1], pops[:, 2], traj.cos_phi, traj.phi_signed]
     if adiabatic:
         if adiab is None:
             adiab = analysis.adiabatic_populations(traj, cfg)
-        header += ["p_a0", "p_a_plus", "p_a_minus"]
-    lines = _config_comment_lines(cfg, {"command": "simulate"})
-    lines.append(",".join(header))
-    for k, t in enumerate(traj.times):
-        d = traj.states[k]
-        row = [
-            t,
-            d[0].real,
-            d[0].imag,
-            d[1].real,
-            d[1].imag,
-            d[2].real,
-            d[2].imag,
-            traj.populations[k, 0],
-            traj.populations[k, 1],
-            traj.populations[k, 2],
-            traj.cos_phi[k],
-            traj.phi_signed[k],
-        ]
-        if adiabatic:
-            row += [adiab[k, 0], adiab[k, 1], adiab[k, 2]]
-        lines.append(",".join(_fmt(v) for v in row))
-    return lines
+        header += ",p_a0,p_a_plus,p_a_minus"
+        columns += [adiab[:, 0], adiab[:, 1], adiab[:, 2]]
+    return _config_comment_lines(cfg, {"command": command}) + _table_lines(header, columns)
 
 
 def sweep_csv_lines(result: sweeps.SweepResult) -> list[str]:
-    lines = _config_comment_lines(
-        result.spec.base, {"command": "sweep", "parameter": result.spec.parameter}
-    )
-    lines.append("parameter,value,p_e,p_g,p_f,cos_phi,phi_signed,nonadiabaticity,error")
-    for pt in result.points:
-        nonadiab = "" if pt.nonadiabaticity is None else _fmt(pt.nonadiabaticity)
-        err = pt.error or ""
-        lines.append(
-            ",".join(
-                [
-                    result.spec.parameter,
-                    _fmt(pt.value),
-                    _fmt(pt.p_e),
-                    _fmt(pt.p_g),
-                    _fmt(pt.p_f),
-                    _fmt(pt.cos_phi),
-                    _fmt(pt.phi_signed),
-                    nonadiab,
-                    err.replace(",", ";"),
-                ]
-            )
-        )
-    return lines
+    spec, points = result.spec, result.points
+    header = "parameter,value,p_e,p_g,p_f,cos_phi,phi_signed,nonadiabaticity,error"
+    observables = ("value", "p_e", "p_g", "p_f", "cos_phi", "phi_signed")
+    columns = [
+        [spec.parameter] * len(points),
+        *([getattr(pt, name) for pt in points] for name in observables),
+        ["" if pt.nonadiabaticity is None else _fmt(pt.nonadiabaticity) for pt in points],
+        [(pt.error or "").replace(",", ";") for pt in points],
+    ]
+    extra = {"command": "sweep", "parameter": spec.parameter}
+    return _config_comment_lines(spec.base, extra) + _table_lines(header, columns)
 
 
 def sweep_json_doc(result: sweeps.SweepResult) -> dict:
@@ -470,30 +421,15 @@ def cmd_twolevel(args) -> int:
     cfg, preset = _load_run_config(args)
     report = compare_with_full(cfg)
     out = Path(args.out)
-    lines = _config_comment_lines(cfg, {"command": "twolevel"})
-    lines.append(
+    full, red = report.full, report.reduced
+    header = (
         "t_over_tau,p_e_full,p_g_full,p_f_full,p_g_two_level,p_f_two_level,"
         "re_d_i,im_d_i,re_d_k,im_d_k"
     )
-    full, red = report.full, report.reduced
-    for k, t in enumerate(full.times):
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in [
-                    t,
-                    full.populations[k, 0],
-                    full.populations[k, 1],
-                    full.populations[k, 2],
-                    red.p_g[k],
-                    red.p_f[k],
-                    red.d_i[k].real,
-                    red.d_i[k].imag,
-                    red.d_k[k].real,
-                    red.d_k[k].imag,
-                ]
-            )
-        )
+    pops = full.populations
+    columns = [full.times, pops[:, 0], pops[:, 1], pops[:, 2], red.p_g, red.p_f]
+    columns += [red.d_i.real, red.d_i.imag, red.d_k.real, red.d_k.imag]
+    lines = _config_comment_lines(cfg, {"command": "twolevel"}) + _table_lines(header, columns)
     _write_text(out, lines)
     _write_json(
         _manifest_path(out),
@@ -541,20 +477,17 @@ def cmd_stirap(args) -> int:
         fid, max_p_e = report.fidelity_to_target, report.max_p_e
 
     out = Path(args.out)
-    _write_text(out, trajectory_csv_lines(traj, cfg, adiabatic=False))
+    _write_text(out, trajectory_csv_lines(traj, cfg, adiabatic=False, command="stirap"))
 
     envelopes = stirap.design_pulses(qubit, args.separation)
     sampled = stirap.sample_envelopes(envelopes, traj.times, scale=args.scale)
     if args.chop is not None:
         sampled[traj.times > args.chop] = 0.0
-    env_lines = ["t_over_tau,re_omega1,im_omega1,re_omega2,im_omega2"]
-    for k, t in enumerate(traj.times):
-        env_lines.append(
-            ",".join(
-                _fmt(v)
-                for v in [t, sampled[k, 0].real, sampled[k, 0].imag, sampled[k, 1].real, sampled[k, 1].imag]
-            )
-        )
+    w1, w2 = sampled[:, 0], sampled[:, 1]
+    env_lines = _table_lines(
+        "t_over_tau,re_omega1,im_omega1,re_omega2,im_omega2",
+        [traj.times, w1.real, w1.imag, w2.real, w2.imag],
+    )
     env_path = out.with_suffix(".envelopes.csv")
     _write_text(env_path, env_lines)
 
@@ -717,10 +650,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_twolevel)
 
     p = subs.add_parser("stirap", help="designed-pulse orthogonal rotation")
-    p.add_argument("--alpha", type=float, default=0.3)
+    p.add_argument("--alpha", type=float, default=sweeps.BASE_ALPHA)
     p.add_argument("--beta", type=float, default=None, help="defaults to sqrt(1 - alpha^2)")
-    p.add_argument("--phi", type=float, default=math.pi / 2)
-    p.add_argument("--separation", type=float, default=4.0 / 3.0, help="pulse delay T/tau")
+    p.add_argument("--phi", type=float, default=sweeps.BASE_PHI)
+    p.add_argument("--separation", type=float, default=sweeps.BASE_T, help="pulse delay T/tau")
     p.add_argument("--scale", type=float, default=stirap.DEFAULT_SCALE)
     p.add_argument("--chop", type=float, default=None, help="force envelopes to zero past this time")
     p.add_argument("--out", required=True)

@@ -75,24 +75,14 @@ def design_pulses(q: InitialQubit, T: float, tau: float = 1.0) -> tuple[Envelope
     return omega1, omega2
 
 
-def _transfer_config(
-    q: InitialQubit,
-    T: float,
-    tau: float,
-    scale: float,
-    t_start: float,
-    t_end: float,
-    samples: int,
-) -> SimulationConfig:
-    # resonant, unchirped drive; the PulsePair records the scale and timing
-    # for provenance, the actual envelopes are passed to the integrator
+def _transfer_config(q: InitialQubit, T: float, scale: float) -> SimulationConfig:
+    # resonant, unchirped drive on the default window; the PulsePair records
+    # the scale and timing for provenance, the actual envelopes are passed
+    # to the integrator
     return SimulationConfig(
-        pulses=PulsePair(omega01=scale, omega02=scale, tau=tau, T=T),
+        pulses=PulsePair(omega01=scale, omega02=scale, T=T),
         detunings=DetuningSpec(0.0, 0.0),
         initial=q,
-        t_start=t_start,
-        t_end=t_end,
-        samples=samples,
     )
 
 
@@ -107,14 +97,7 @@ class TransferReport:
 
 
 def orthogonal_transfer(
-    q: InitialQubit,
-    T: float = 4.0 / 3.0,
-    tau: float = 1.0,
-    amplitude_scale: float = DEFAULT_SCALE,
-    *,
-    t_start: float = -8.0,
-    t_end: float = 15.0,
-    samples: int = 601,
+    q: InitialQubit, T: float = 4.0 / 3.0, amplitude_scale: float = DEFAULT_SCALE
 ) -> TransferReport:
     """Drive ``q`` with the designed pulses and report the transfer quality.
 
@@ -125,8 +108,8 @@ def orthogonal_transfer(
     """
     if amplitude_scale <= 0:
         raise ValueError(f"amplitude_scale must be positive, got {amplitude_scale}")
-    w1, w2 = design_pulses(q, T, tau)
-    cfg = _transfer_config(q, T, tau, amplitude_scale, t_start, t_end, samples)
+    w1, w2 = design_pulses(q, T)
+    cfg = _transfer_config(q, T, amplitude_scale)
     traj = integrate(
         cfg, envelopes=lambda t: (amplitude_scale * w1(t), amplitude_scale * w2(t))
     )
@@ -141,15 +124,7 @@ def orthogonal_transfer(
 
 
 def chopped_rotation(
-    q: InitialQubit,
-    T: float = 4.0 / 3.0,
-    tau: float = 1.0,
-    scale: float = DEFAULT_SCALE,
-    stop_time: float = 0.0,
-    *,
-    t_start: float = -8.0,
-    t_end: float = 15.0,
-    samples: int = 601,
+    q: InitialQubit, T: float = 4.0 / 3.0, scale: float = DEFAULT_SCALE, stop_time: float = 0.0
 ) -> Trajectory:
     """Designed-pulse run with both envelopes forced to zero past ``stop_time``.
 
@@ -158,15 +133,15 @@ def chopped_rotation(
     the complete orthogonal rotation; intermediate stops leave intermediate
     superpositions.
     """
-    w1, w2 = design_pulses(q, T, tau)
-    cfg = _transfer_config(q, T, tau, scale, t_start, t_end, samples)
+    w1, w2 = design_pulses(q, T)
+    cfg = _transfer_config(q, T, scale)
 
     def chopped(t: float) -> tuple[complex, complex]:
         if t > stop_time:
             return 0j, 0j
         return scale * w1(t), scale * w2(t)
 
-    breakpoints = (stop_time,) if t_start < stop_time < t_end else ()
+    breakpoints = (stop_time,) if cfg.t_start < stop_time < cfg.t_end else ()
     return integrate(cfg, envelopes=chopped, breakpoints=breakpoints)
 
 

@@ -233,15 +233,13 @@ def _grid(lo: float, hi: float, n: int = 61) -> tuple:
 
 
 def _presets() -> dict:
-    return {
+    presets = {
         # detuning scans
         "fig2": SweepSpec("delta_tau", (45.0, 60.0, 120.0), base_config()),
         "fig2_inset": SweepSpec("delta_tau", _grid(30.0, 200.0), base_config()),
         "fig3": SweepSpec("delta_tau", _grid(30.0, 200.0), base_config(alpha=1.0, phi=0.0)),
         # pulse-delay scan
         "fig4": SweepSpec("T_over_tau", _grid(0.0, 4.0), base_config(delta_tau=75.0)),
-        # relative-phase time series (same runs as fig2, read for cos phi)
-        "fig5": SweepSpec("delta_tau", (45.0, 60.0, 120.0), base_config()),
         # amplitude-ratio scans
         "fig6": SweepSpec("ratio_omega", _grid(0.3, 2.0), base_config(delta_tau=75.0)),
         "fig7": SweepSpec(
@@ -269,6 +267,9 @@ def _presets() -> dict:
             base_config(delta_tau=75.0, chirp_kind="tanh", chi=1.0),
         ),
     }
+    # relative-phase time series: the fig2 runs, read for cos phi
+    presets["fig5"] = presets["fig2"]
+    return presets
 
 
 PRESET_NAMES = tuple(sorted(_presets().keys()))

@@ -1,15 +1,19 @@
 import dataclasses
 import json
 import math
+import runpy
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qubitrot.cli import build_config, load_config_file, main
+from qubitrot import sweeps
+from qubitrot.analysis import adiabatic_populations
+from qubitrot.cli import _table_lines, build_config, config_to_dict, load_config_file, main
 from qubitrot.dynamics import envelope, integrate
-from qubitrot.stirap import orthogonal_transfer
-from qubitrot.twolevel import integrate_two_level
+from qubitrot.stirap import DEFAULT_SCALE, design_pulses, orthogonal_transfer, sample_envelopes
+from qubitrot.twolevel import compare_with_full, integrate_two_level
 from qubitrot.types import InitialQubit
 
 FAST_BASE = """
@@ -35,12 +39,27 @@ def _read_manifest(out_path):
     return json.loads(out_path.with_suffix(".manifest.json").read_text())
 
 
+def _read_table(path):
+    """Header fields and the float64 cells of a numeric CSV."""
+    lines = [l for l in Path(path).read_text().splitlines() if not l.startswith("#")]
+    return lines[0].split(","), np.array([[float(v) for v in l.split(",")] for l in lines[1:]])
+
+
 class TestConfigParsing:
     def test_defaults_fill_missing_keys(self):
         cfg = build_config({})
         assert cfg.initial.alpha == 0.3
         assert cfg.pulses.omega01 == 15.0
         assert cfg.detunings.delta1 == 45.0
+        assert cfg == sweeps.base_config()
+        for name in sweeps.PRESET_NAMES:
+            base = sweeps.preset_base(name)
+            assert build_config(config_to_dict(base)) == base, name
+        # derived keys: beta follows alpha, delta2 follows delta1, not the reverse
+        assert build_config({"alpha": "0.6"}).initial.beta == math.sqrt(1.0 - 0.6 * 0.6)
+        assert build_config({"delta1_tau": "30"}).detunings == build_config({"delta_tau": 30}).detunings
+        only_d2 = build_config({"delta2_tau": 50.0}).detunings
+        assert (only_d2.delta1, only_d2.delta2) == (45.0, 50.0)
 
     def test_sections_and_comments_ignored(self, tmp_path):
         path = _write(tmp_path, "c.cfg", "[pulses]\n# note\nomega01_tau = 2.0\n")
@@ -188,6 +207,8 @@ class TestStirap:
         assert manifest["max_p_e"] <= 0.02
         env = out.with_suffix(".envelopes.csv").read_text().splitlines()
         assert env[0] == "t_over_tau,re_omega1,im_omega1,re_omega2,im_omega2"
+        # the header names the command that wrote the file, not simulate
+        assert out.read_text().splitlines()[0] == "# command = stirap"
 
     def test_chopped_run(self, tmp_path):
         out = tmp_path / "chop.csv"
@@ -361,3 +382,81 @@ def test_tolerance_below_100_eps_runs_as_requested(tmp_path):
     manifest = _read_manifest(out)
     assert manifest["config"]["rel_tol"] == 1e-16
     assert manifest["norm_drift_max"] <= 1e-8
+
+
+class TestTableWriter:
+    """Every numeric cell reads back as the float64 the program computed."""
+
+    def test_cells_match_per_cell_format(self):
+        values = [-0.0, 0.0, 5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf, 0.1, 1 / 3]
+        text = ["a", "", "x;y", "50%", "none", "linear", "tanh", "b", "c", "d"]
+        lines = _table_lines("v,s,w", [values, text, np.array(values[::-1])])
+        assert lines[0] == "v,s,w"
+        assert lines[1:] == [
+            f"{format(v, '.17g')},{t},{format(w, '.17g')}"
+            for v, t, w in zip(values, text, values[::-1])
+        ]
+
+    def test_simulate_adiabatic_round_trip(self, tmp_path):
+        path = _write(tmp_path, "fast.cfg", FAST_BASE)
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--config", path, "--adiabatic", "--out", str(out)]) == 0
+        cfg = build_config(load_config_file(path))
+        traj = integrate(cfg)
+        d = traj.states
+        expected = np.column_stack(
+            [traj.times, d[:, 0].real, d[:, 0].imag, d[:, 1].real, d[:, 1].imag]
+            + [d[:, 2].real, d[:, 2].imag, traj.populations, traj.cos_phi, traj.phi_signed]
+            + [adiabatic_populations(traj, cfg)]
+        )
+        header, cells = _read_table(out)
+        assert len(header) == expected.shape[1] == 15
+        # alpha = 1 starts with |f> empty, where the relative phase is NaN
+        assert np.isnan(expected).any()
+        assert np.array_equal(cells, expected, equal_nan=True)
+
+    def test_twolevel_round_trip(self, tmp_path):
+        path = _write(tmp_path, "fast.cfg", FAST_BASE)
+        out = tmp_path / "two.csv"
+        assert main(["twolevel", "--config", path, "--out", str(out)]) == 0
+        report = compare_with_full(build_config(load_config_file(path)))
+        full, red = report.full, report.reduced
+        expected = np.column_stack(
+            [full.times, full.populations, red.p_g, red.p_f]
+            + [red.d_i.real, red.d_i.imag, red.d_k.real, red.d_k.imag]
+        )
+        header, cells = _read_table(out)
+        assert len(header) == expected.shape[1]
+        assert np.array_equal(cells, expected, equal_nan=True)
+
+    def test_stirap_round_trip(self, tmp_path):
+        out = tmp_path / "stirap.csv"
+        assert main(["stirap", "--alpha", "0.6", "--out", str(out)]) == 0
+        qubit = InitialQubit(0.6, math.sqrt(1.0 - 0.6 * 0.6), sweeps.BASE_PHI)
+        traj = orthogonal_transfer(qubit).trajectory
+        d = traj.states
+        expected = np.column_stack(
+            [traj.times, d[:, 0].real, d[:, 0].imag, d[:, 1].real, d[:, 1].imag]
+            + [d[:, 2].real, d[:, 2].imag, traj.populations, traj.cos_phi, traj.phi_signed]
+        )
+        header, cells = _read_table(out)
+        assert len(header) == expected.shape[1] == 12
+        assert np.array_equal(cells, expected, equal_nan=True)
+
+        w = sample_envelopes(design_pulses(qubit, sweeps.BASE_T), traj.times, scale=DEFAULT_SCALE)
+        expected = np.column_stack([traj.times, w[:, 0].real, w[:, 0].imag, w[:, 1].real, w[:, 1].imag])
+        header, cells = _read_table(out.with_suffix(".envelopes.csv"))
+        assert len(header) == expected.shape[1]
+        assert np.array_equal(cells, expected)
+
+
+def test_reproduce_figures_script(tmp_path, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"
+    run = runpy.run_path(str(script))["run"]
+    argv = ["--outdir", str(tmp_path), "--presets", "fig2", "fig9", "--grid-points", "3"]
+    assert run(argv) == 0
+    fig2 = [l for l in (tmp_path / "fig2.csv").read_text().splitlines() if not l.startswith("#")]
+    assert len(fig2) == 1 + 3
+    header, fig9 = _read_table(tmp_path / "fig9.csv")
+    assert len(fig9) == 601
+    assert ",".join(header).endswith("p_a0,p_a_plus,p_a_minus")
