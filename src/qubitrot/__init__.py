@@ -18,6 +18,7 @@ from .analysis import (
 )
 from .control import ControlProblem, SolveResult, solve
 from .dynamics import (
+    Drive,
     accumulated_chirp_phase,
     assemble_generator,
     chirp_rate,
@@ -33,7 +34,7 @@ from .errors import (
     SolverError,
     UnsupportedRegimeError,
 )
-from .stirap import chopped_rotation, design_pulses, orthogonal_transfer, sample_envelopes
+from .stirap import chopped_rotation, designed_drive, orthogonal_transfer
 from .sweeps import (
     PRESET_NAMES,
     SweepPoint,

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import phase_pair, rotated_to_bare
+from .dynamics import Drive, phase_pair, rotated_to_bare
 from .errors import UnsupportedRegimeError
 from .types import AdiabaticFrame, SimulationConfig, StateVector, Trajectory
 
@@ -51,26 +51,61 @@ def _require_frame_regime(cfg: SimulationConfig) -> None:
         raise UnsupportedRegimeError("adiabatic frame is only defined for unchirped pulses")
 
 
-def _mixing_theta(t: float, cfg: SimulationConfig) -> float:
-    """tan(theta) = |omega1| / |omega2|, stable arbitrarily deep in the wings."""
+def _frames(times, cfg: SimulationConfig):
+    """The instantaneous eigenbasis at each of ``times``.
+
+    Returns the mixing angles theta and phi_mix, the eigenvalues lambda_pm
+    and an (n, 3, 3) array whose rows are (a0, a_plus, a_minus); see
+    :func:`adiabatic_frame` for the construction.
+    """
+    _require_frame_regime(cfg)
     p = cfg.pulses
-    x1 = (t - p.center1) / p.tau
-    x2 = (t - p.center2) / p.tau
-    m1 = p.omega01 * math.exp(-x1 * x1)
-    m2 = p.omega02 * math.exp(-x2 * x2)
-    if m1 > 0.0 or m2 > 0.0:
-        return math.atan2(m1, m2)
-    if p.omega01 == 0.0 and p.omega02 == 0.0:
-        return 0.0  # no drive at all; any constant frame works
-    if p.omega01 == 0.0:
-        return 0.0
+    delta = cfg.detunings.delta1
+    t = np.asarray(times, dtype=float)
+    moduli = np.abs(Drive.from_pulses(p).sample(t))
+    m1, m2 = moduli[:, 0], moduli[:, 1]
+
+    # tan(theta) = |omega1| / |omega2|, stable arbitrarily deep in the wings
+    theta = np.arctan2(m1, m2)
+    deep = (m1 == 0.0) & (m2 == 0.0) & (p.omega01 > 0.0)
     if p.omega02 == 0.0:
-        return math.pi / 2
-    # both envelopes underflowed: use the exponent of their ratio instead
-    rho = math.log(p.omega01 / p.omega02) + (x2 * x2 - x1 * x1)
-    if rho >= 0.0:
-        return math.pi / 2 - math.atan(math.exp(-rho))
-    return math.atan(math.exp(rho))
+        theta[deep] = math.pi / 2
+    elif deep.any():
+        # both envelopes underflowed: use the exponent of their ratio instead
+        x1 = (t[deep] - p.center1) / p.tau
+        x2 = (t[deep] - p.center2) / p.tau
+        rho = math.log(p.omega01 / p.omega02) + (x2 * x2 - x1 * x1)
+        small = np.arctan(np.exp(-np.abs(rho)))
+        theta[deep] = np.where(rho >= 0.0, math.pi / 2 - small, small)
+
+    w = np.hypot(m1, m2)
+    s = np.hypot(delta, 2.0 * w)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        if delta >= 0.0:
+            phi_mix = np.arctan2(2.0 * w, delta + s)
+            lam_p = 2.0 * w * w / (delta + s)
+            lam_m = -(delta + s) / 2.0
+        else:
+            # avoid cancellation in delta + s for negative detuning
+            phi_mix = np.arctan2(s - delta, 2.0 * w)
+            lam_p = (s - delta) / 2.0
+            lam_m = np.where(w > 0.0, -2.0 * w * w / (s - delta), 0.0)
+    if delta == 0.0:
+        undriven = w == 0.0
+        phi_mix[undriven] = math.pi / 4  # continuity limit of tan(phi_mix) = 1
+        lam_p[undriven] = lam_m[undriven] = 0.0
+
+    st, ct = np.sin(theta), np.cos(theta)
+    sp, cp = np.sin(phi_mix), np.cos(phi_mix)
+    u1 = cmath.exp(-1j * p.delta)  # phase of envelope 1; envelope 2 is real
+    basis = np.array(
+        [
+            [np.zeros_like(ct), ct, -st * u1],
+            [sp, cp * st * u1.conjugate(), cp * ct],
+            [-cp, sp * st * u1.conjugate(), sp * ct],
+        ]
+    ).transpose(2, 0, 1)
+    return theta, phi_mix, lam_p, lam_m, basis
 
 
 def adiabatic_frame(t: float, cfg: SimulationConfig) -> AdiabaticFrame:
@@ -88,45 +123,14 @@ def adiabatic_frame(t: float, cfg: SimulationConfig) -> AdiabaticFrame:
     eigenvector components so the construction stays exact for complex
     couplings.
     """
-    _require_frame_regime(cfg)
-    p = cfg.pulses
-    delta = cfg.detunings.delta1
-
-    theta = _mixing_theta(t, cfg)
-    x1 = (t - p.center1) / p.tau
-    x2 = (t - p.center2) / p.tau
-    m1 = p.omega01 * math.exp(-x1 * x1)
-    m2 = p.omega02 * math.exp(-x2 * x2)
-    w = math.hypot(m1, m2)
-
-    s = math.hypot(delta, 2.0 * w)
-    if w == 0.0 and delta == 0.0:
-        phi_mix = math.pi / 4  # continuity limit of tan(phi_mix) = 1
-        lam_p = lam_m = 0.0
-    elif delta >= 0.0:
-        phi_mix = math.atan2(2.0 * w, delta + s)
-        lam_p = 2.0 * w * w / (delta + s)
-        lam_m = -(delta + s) / 2.0
-    else:
-        # avoid cancellation in delta + s for negative detuning
-        phi_mix = math.atan2(s - delta, 2.0 * w)
-        lam_p = (s - delta) / 2.0
-        lam_m = -2.0 * w * w / (s - delta) if w > 0.0 else 0.0
-
-    st, ct = math.sin(theta), math.cos(theta)
-    sp, cp = math.sin(phi_mix), math.cos(phi_mix)
-    u1 = cmath.exp(-1j * p.delta)  # phase of envelope 1; envelope 2 is real
-
-    a0 = np.array([0.0, ct, -st * u1])
-    a_plus = np.array([sp, cp * st * u1.conjugate(), cp * ct])
-    a_minus = np.array([-cp, sp * st * u1.conjugate(), sp * ct])
+    theta, phi_mix, lam_p, lam_m, basis = _frames([t], cfg)
     return AdiabaticFrame(
-        theta=theta,
-        phi_mix=phi_mix,
-        a0=a0,
-        a_plus=a_plus,
-        a_minus=a_minus,
-        eigenvalues=np.array([0.0, lam_p, lam_m]),
+        theta=float(theta[0]),
+        phi_mix=float(phi_mix[0]),
+        a0=basis[0, 0],
+        a_plus=basis[0, 1],
+        a_minus=basis[0, 2],
+        eigenvalues=np.array([0.0, lam_p[0], lam_m[0]]),
     )
 
 
@@ -135,15 +139,8 @@ def adiabatic_populations(traj: Trajectory, cfg: SimulationConfig) -> np.ndarray
 
     The three columns sum to the state norm at every sample.
     """
-    _require_frame_regime(cfg)
-    out = np.empty((len(traj.times), 3))
-    for k, t in enumerate(traj.times):
-        frame = adiabatic_frame(float(t), cfg)
-        d = traj.states[k]
-        out[k, 0] = abs(np.vdot(frame.a0, d)) ** 2
-        out[k, 1] = abs(np.vdot(frame.a_plus, d)) ** 2
-        out[k, 2] = abs(np.vdot(frame.a_minus, d)) ** 2
-    return out
+    basis = _frames(traj.times, cfg)[4]
+    return np.abs(np.einsum("nkj,nj->nk", basis.conj(), traj.states)) ** 2
 
 
 def nonadiabaticity(traj: Trajectory, cfg: SimulationConfig) -> float:

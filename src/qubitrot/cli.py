@@ -44,6 +44,7 @@ from .types import (
     PulsePair,
     SimulationConfig,
     Trajectory,
+    normalizing_beta,
     orthogonal_state,
 )
 
@@ -127,7 +128,7 @@ def build_config(entries: dict, *, allow_sweep_keys: bool = False) -> Simulation
     if "beta" not in entries:
         if not 0.0 <= alpha <= 1.0:
             raise ConfigError(f"key 'alpha': must lie in [0, 1], got {alpha}")
-        beta = math.sqrt(max(0.0, 1.0 - alpha * alpha))
+        beta = normalizing_beta(alpha)
 
     if "delta_tau" in entries:
         if "delta1_tau" in entries or "delta2_tau" in entries:
@@ -314,10 +315,18 @@ def _resolve_workers(requested: int) -> int:
     return max(1, requested)
 
 
+def _check_preset(name: str) -> None:
+    if name not in sweeps.PRESET_NAMES:
+        raise ConfigError(
+            f"--preset: unknown preset {name!r}; valid names: {', '.join(sweeps.PRESET_NAMES)}"
+        )
+
+
 def _load_run_config(args) -> tuple[SimulationConfig, str | None]:
     if args.preset and args.config:
         raise ConfigError("pass either --preset or --config, not both")
     if args.preset:
+        _check_preset(args.preset)
         cfg = sweeps.preset_base(args.preset)
         name = args.preset
     elif args.config:
@@ -363,6 +372,7 @@ def _load_sweep_spec(args) -> sweeps.SweepSpec:
     if args.preset and args.config:
         raise ConfigError("pass either --preset or --config, not both")
     if args.preset:
+        _check_preset(args.preset)
         preset = sweeps.figure_preset(args.preset)
         if not isinstance(preset, sweeps.SweepSpec):
             raise ConfigError(f"preset '{args.preset}' is a single run, not a sweep")
@@ -456,37 +466,33 @@ def cmd_twolevel(args) -> int:
 
 
 def cmd_stirap(args) -> int:
+    for flag, value in (("--separation", args.separation), ("--scale", args.scale)):
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"{flag} must be positive and finite, got {value}")
+    if args.chop is not None and not math.isfinite(args.chop):
+        raise ConfigError(f"--chop must be a finite time, got {args.chop}")
     alpha = args.alpha
-    beta = args.beta if args.beta is not None else math.sqrt(max(0.0, 1.0 - alpha * alpha))
+    beta = args.beta if args.beta is not None else normalizing_beta(alpha)
     try:
         qubit = InitialQubit(alpha, beta, args.phi)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    if args.chop is not None:
-        traj = stirap.chopped_rotation(
-            qubit, T=args.separation, scale=args.scale, stop_time=args.chop
-        )
-        cfg = traj.config
-        target = orthogonal_state(qubit)
-        fid = analysis.fidelity(traj.final_state(), target, float(traj.times[-1]), cfg)
-        max_p_e = float(traj.p_e.max())
-    else:
-        report = stirap.orthogonal_transfer(qubit, T=args.separation, amplitude_scale=args.scale)
-        traj, cfg = report.trajectory, report.trajectory.config
-        fid, max_p_e = report.fidelity_to_target, report.max_p_e
+    # without --chop the designed pair runs to the end of the window
+    stop_time = math.inf if args.chop is None else args.chop
+    traj = stirap.chopped_rotation(qubit, args.separation, args.scale, stop_time)
+    cfg = traj.config
+    fid = analysis.fidelity(traj.final_state(), orthogonal_state(qubit), traj.times[-1], cfg)
+    max_p_e = float(traj.p_e.max())
 
     out = Path(args.out)
     _write_text(out, trajectory_csv_lines(traj, cfg, adiabatic=False, command="stirap"))
 
-    envelopes = stirap.design_pulses(qubit, args.separation)
-    sampled = stirap.sample_envelopes(envelopes, traj.times, scale=args.scale)
-    if args.chop is not None:
-        sampled[traj.times > args.chop] = 0.0
-    w1, w2 = sampled[:, 0], sampled[:, 1]
+    drive = stirap.designed_drive(qubit, args.separation, args.scale, stop_time)
+    w = drive.sample(traj.times)
     env_lines = _table_lines(
         "t_over_tau,re_omega1,im_omega1,re_omega2,im_omega2",
-        [traj.times, w1.real, w1.imag, w2.real, w2.imag],
+        [traj.times, w[:, 0].real, w[:, 0].imag, w[:, 1].real, w[:, 1].imag],
     )
     env_path = out.with_suffix(".envelopes.csv")
     _write_text(env_path, env_lines)
@@ -653,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=sweeps.BASE_ALPHA)
     p.add_argument("--beta", type=float, default=None, help="defaults to sqrt(1 - alpha^2)")
     p.add_argument("--phi", type=float, default=sweeps.BASE_PHI)
-    p.add_argument("--separation", type=float, default=sweeps.BASE_T, help="pulse delay T/tau")
+    p.add_argument("--separation", type=float, default=PulsePair.T, help="pulse delay T/tau")
     p.add_argument("--scale", type=float, default=stirap.DEFAULT_SCALE)
     p.add_argument("--chop", type=float, default=None, help="force envelopes to zero past this time")
     p.add_argument("--out", required=True)

@@ -29,12 +29,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .analysis import fidelity
-from .dynamics import integrate
+from .dynamics import Drive, integrate
 from .types import (
     DetuningSpec,
     InitialQubit,
@@ -44,46 +43,24 @@ from .types import (
     orthogonal_state,
 )
 
-Envelope = Callable[[float], complex]
-
 DEFAULT_SCALE = 15.0  # matches the peak amplitudes used for the Gaussian-pair drives
 
 
-def design_pulses(q: InitialQubit, T: float, tau: float = 1.0) -> tuple[Envelope, Envelope]:
-    """Unit-amplitude envelope pair rotating ``q`` to its orthogonal state.
+def designed_drive(
+    q: InitialQubit, T: float, scale: float, stop_time: float = math.inf
+) -> Drive:
+    """The designed pair rotating ``q`` to its orthogonal state, times ``scale``.
 
-    Returns callables (omega1, omega2); multiplying both by a common scale
-    preserves the design identities while improving adiabaticity.
+    W = scale [[alpha, beta e^{i phi}], [beta e^{-i phi}, -alpha]] on the
+    unit Gaussians at (T, 0); both envelopes are zero past ``stop_time``.
     """
-    if T <= 0:
+    if not T > 0:
         raise ValueError(f"pulse separation must be positive, got {T}")
-    a = q.alpha
-    bplus = q.beta * cmath.exp(1j * q.phi)
-    bminus = bplus.conjugate()
-    inv_tau = 1.0 / tau
-
-    def omega1(t: float) -> complex:
-        x1 = (t - T) * inv_tau
-        x2 = t * inv_tau
-        return a * math.exp(-x1 * x1) + bplus * math.exp(-x2 * x2)
-
-    def omega2(t: float) -> complex:
-        x1 = (t - T) * inv_tau
-        x2 = t * inv_tau
-        return bminus * math.exp(-x1 * x1) - a * math.exp(-x2 * x2)
-
-    return omega1, omega2
-
-
-def _transfer_config(q: InitialQubit, T: float, scale: float) -> SimulationConfig:
-    # resonant, unchirped drive on the default window; the PulsePair records
-    # the scale and timing for provenance, the actual envelopes are passed
-    # to the integrator
-    return SimulationConfig(
-        pulses=PulsePair(omega01=scale, omega02=scale, T=T),
-        detunings=DetuningSpec(0.0, 0.0),
-        initial=q,
-    )
+    if not scale > 0:
+        raise ValueError(f"amplitude scale must be positive, got {scale}")
+    a = scale * q.alpha
+    bplus = scale * (q.beta * cmath.exp(1j * q.phi))
+    return Drive((T, 0.0), 1.0, ((a, bplus), (bplus.conjugate(), -a)), cutoff=stop_time)
 
 
 @dataclass
@@ -97,7 +74,7 @@ class TransferReport:
 
 
 def orthogonal_transfer(
-    q: InitialQubit, T: float = 4.0 / 3.0, amplitude_scale: float = DEFAULT_SCALE
+    q: InitialQubit, T: float = PulsePair.T, amplitude_scale: float = DEFAULT_SCALE
 ) -> TransferReport:
     """Drive ``q`` with the designed pulses and report the transfer quality.
 
@@ -106,15 +83,9 @@ def orthogonal_transfer(
     the final state against the orthogonal target and the worst transient
     excited-state population.
     """
-    if amplitude_scale <= 0:
-        raise ValueError(f"amplitude_scale must be positive, got {amplitude_scale}")
-    w1, w2 = design_pulses(q, T)
-    cfg = _transfer_config(q, T, amplitude_scale)
-    traj = integrate(
-        cfg, envelopes=lambda t: (amplitude_scale * w1(t), amplitude_scale * w2(t))
-    )
+    traj = chopped_rotation(q, T, amplitude_scale, stop_time=math.inf)
     target = orthogonal_state(q)
-    fid = fidelity(traj.final_state(), target, float(traj.times[-1]), cfg)
+    fid = fidelity(traj.final_state(), target, float(traj.times[-1]), traj.config)
     return TransferReport(
         trajectory=traj,
         target=target,
@@ -124,7 +95,7 @@ def orthogonal_transfer(
 
 
 def chopped_rotation(
-    q: InitialQubit, T: float = 4.0 / 3.0, scale: float = DEFAULT_SCALE, stop_time: float = 0.0
+    q: InitialQubit, T: float = PulsePair.T, scale: float = DEFAULT_SCALE, stop_time: float = 0.0
 ) -> Trajectory:
     """Designed-pulse run with both envelopes forced to zero past ``stop_time``.
 
@@ -133,25 +104,8 @@ def chopped_rotation(
     the complete orthogonal rotation; intermediate stops leave intermediate
     superpositions.
     """
-    w1, w2 = design_pulses(q, T)
-    cfg = _transfer_config(q, T, scale)
-
-    def chopped(t: float) -> tuple[complex, complex]:
-        if t > stop_time:
-            return 0j, 0j
-        return scale * w1(t), scale * w2(t)
-
-    breakpoints = (stop_time,) if cfg.t_start < stop_time < cfg.t_end else ()
-    return integrate(cfg, envelopes=chopped, breakpoints=breakpoints)
-
-
-def sample_envelopes(
-    envelopes: tuple[Envelope, Envelope], times: np.ndarray, scale: float = 1.0
-) -> np.ndarray:
-    """Tabulate an envelope pair on a grid; columns (omega1, omega2)."""
-    w1, w2 = envelopes
-    out = np.empty((len(times), 2), dtype=complex)
-    for k, t in enumerate(times):
-        out[k, 0] = scale * w1(float(t))
-        out[k, 1] = scale * w2(float(t))
-    return out
+    drive = designed_drive(q, T, scale, stop_time)
+    # resonant and unchirped on the default window; the PulsePair records the
+    # scale and the timing for provenance, the designed drive is integrated
+    cfg = SimulationConfig(PulsePair(scale, scale, T=T), DetuningSpec(0.0, 0.0), q)
+    return integrate(cfg, envelopes=drive.evaluator(), breakpoints=(stop_time,))

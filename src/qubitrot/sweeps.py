@@ -32,6 +32,7 @@ from .types import (
     InitialQubit,
     PulsePair,
     SimulationConfig,
+    normalizing_beta,
 )
 
 log = logging.getLogger(__name__)
@@ -204,7 +205,6 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
 BASE_ALPHA = 0.3
 BASE_PHI = math.pi / 2
 BASE_OMEGA = 15.0
-BASE_T = 4.0 / 3.0
 BASE_DELTA_TAU = 45.0
 
 
@@ -216,10 +216,10 @@ def base_config(
     omega02: float = BASE_OMEGA,
     chirp_kind: str = "none",
     chi: float = 0.0,
-    T: float = BASE_T,
+    T: float = PulsePair.T,
 ) -> SimulationConfig:
     """Common scenario base; keyword overrides cover every preset variation."""
-    beta = math.sqrt(max(0.0, 1.0 - alpha * alpha))
+    beta = normalizing_beta(alpha)
     chirp = ChirpProfile(chirp_kind, chi) if chirp_kind != "none" else ChirpProfile()
     return SimulationConfig(
         pulses=PulsePair(omega01=omega01, omega02=omega02, T=T, chirp1=chirp, chirp2=chirp),

@@ -24,12 +24,11 @@ same window quantifies where the two-level picture holds.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _dopri45, envelope, integrate
+from .dynamics import Drive, _dopri45, envelope, integrate
 from .errors import UnsupportedRegimeError
 from .types import SimulationConfig, SolverStats, Trajectory
 
@@ -64,14 +63,18 @@ def _check_regime(cfg: SimulationConfig) -> float:
     return delta
 
 
+def _couplings(alpha: float, bplus: complex, w1: complex, w2: complex) -> tuple[complex, complex]:
+    """Effective couplings (f1, f2) of the envelopes (w1, w2); bplus = beta e^{i phi}."""
+    w1c = w1.conjugate()
+    w2c = w2.conjugate()
+    return alpha * w1c + bplus.conjugate() * w2c, bplus * w1c - alpha * w2c
+
+
 def effective_params(t: float, cfg: SimulationConfig) -> EffectiveTwoLevel:
     """Effective couplings f1, f2 and the reduced Rabi rate and detuning at ``t``."""
     delta = _check_regime(cfg)
     q = cfg.initial
-    w1, w2 = envelope(t, cfg.pulses)
-    bplus = q.beta * cmath.exp(1j * q.phi)
-    f1 = q.alpha * w1.conjugate() + bplus.conjugate() * w2.conjugate()
-    f2 = bplus * w1.conjugate() - q.alpha * w2.conjugate()
+    f1, f2 = _couplings(q.alpha, q.beta * cmath.exp(1j * q.phi), *envelope(t, cfg.pulses))
     return EffectiveTwoLevel(
         f1=f1,
         f2=f2,
@@ -102,23 +105,14 @@ def _make_reduced_rhs(cfg: SimulationConfig):
     """
     delta = _check_regime(cfg)
     q = cfg.initial
-    p = cfg.pulses
-    inv_tau = 1.0 / p.tau
-    c1, c2 = p.center1, p.center2
-    o1 = p.omega01 * cmath.exp(-1j * p.delta)
-    o2 = complex(p.omega02)
+    env = Drive.from_pulses(cfg.pulses).evaluator()
     alpha = q.alpha
     bplus = q.beta * cmath.exp(1j * q.phi)
-    bminus = bplus.conjugate()
     inv_delta = 1.0 / delta
 
     def rhs(t, di, dk, _):
-        x1 = (t - c1) * inv_tau
-        x2 = (t - c2) * inv_tau
-        w1c = (o1 * math.exp(-x1 * x1)).conjugate()
-        w2c = (o2 * math.exp(-x2 * x2)).conjugate()
-        f1 = alpha * w1c + bminus * w2c
-        f2 = bplus * w1c - alpha * w2c
+        w1, w2 = env(t)
+        f1, f2 = _couplings(alpha, bplus, w1, w2)
         omega_e = f1 * f2.conjugate() * inv_delta
         delta_e = (abs(f1) ** 2 - abs(f2) ** 2) * 0.5 * inv_delta
         return (

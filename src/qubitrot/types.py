@@ -62,6 +62,11 @@ class InitialQubit:
         return np.array([self.alpha, self.beta * cmath.exp(1j * self.phi)])
 
 
+def normalizing_beta(alpha: float) -> float:
+    """The beta >= 0 with alpha^2 + beta^2 = 1 (0 where rounding puts alpha above 1)."""
+    return math.sqrt(max(0.0, 1.0 - alpha * alpha))
+
+
 def init_from_cw(g1: float, g2: float, phi: float) -> InitialQubit:
     """Qubit prepared by two resonant cw fields of half-Rabi rates g1, g2.
 

@@ -160,6 +160,28 @@ class TestAdiabaticFrame:
 
 
 class TestAdiabaticPopulations:
+    @pytest.mark.parametrize(
+        "kw, pulse_phase",
+        [({"alpha": 1.0, "phi": 0.0, "delta_tau": 0.0}, 0.0), ({"delta_tau": 45.0}, 0.0),
+         ({"delta_tau": -30.0}, 1.1)],
+    )
+    def test_matches_dense_eigensolver(self, kw, pulse_phase):
+        # independent reference: projections on the eigenvectors of i M(t)
+        cfg = _resonant_cfg(**kw)
+        cfg = cfg.with_(pulses=PulsePair(15.0, 15.0, T=4 / 3, delta=pulse_phase))
+        traj = integrate(cfg)
+        pops = adiabatic_populations(traj, cfg)
+        x1 = traj.times - cfg.pulses.center1
+        x2 = traj.times - cfg.pulses.center2
+        # both envelopes above 1e-3 of their peak: three distinct eigenvalues
+        driven = np.flatnonzero((np.exp(-x1 * x1) > 1e-3) & (np.exp(-x2 * x2) > 1e-3))
+        assert len(driven) > 50
+        for k in driven:
+            h = 1j * assemble_generator(float(traj.times[k]), cfg)
+            _, vectors = np.linalg.eigh(h)  # ascending: lambda_-, 0, lambda_+
+            reference = np.abs(vectors.conj().T @ traj.states[k]) ** 2
+            assert np.max(np.abs(pops[k] - reference[[1, 2, 0]])) <= 1e-12
+
     def test_completeness(self):
         cfg = _resonant_cfg(delta_tau=60.0)
         traj = integrate(cfg)

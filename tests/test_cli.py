@@ -12,9 +12,9 @@ from qubitrot import sweeps
 from qubitrot.analysis import adiabatic_populations
 from qubitrot.cli import _table_lines, build_config, config_to_dict, load_config_file, main
 from qubitrot.dynamics import envelope, integrate
-from qubitrot.stirap import DEFAULT_SCALE, design_pulses, orthogonal_transfer, sample_envelopes
+from qubitrot.stirap import DEFAULT_SCALE, designed_drive, orthogonal_transfer
 from qubitrot.twolevel import compare_with_full, integrate_two_level
-from qubitrot.types import InitialQubit
+from qubitrot.types import InitialQubit, PulsePair
 
 FAST_BASE = """
 # light configuration for CLI round trips
@@ -322,6 +322,27 @@ SWEEP = ["sweep", "--config", "{input}"]
             ["simulate", "--preset", "fig9", "--samples", "1"], None, 2, "--samples",
             id="samples-1",
         ),
+        *(
+            pytest.param(
+                [command, "--preset", "nosuch"], None, 2, "--preset: unknown preset 'nosuch'; "
+                "valid names: fig10, fig11", id=f"{command}-preset",
+            )
+            for command in ("simulate", "sweep", "twolevel")
+        ),
+        *(
+            pytest.param(
+                ["stirap", f"--{flag}={value}"], None, 2, f"--{flag}", id=f"{flag}-{value}"
+            )
+            for flag, value in [
+                ("separation", "0"),
+                ("separation", "-1"),
+                ("separation", "nan"),
+                ("scale", "0"),
+                ("scale", "-1"),
+                ("scale", "inf"),
+                ("chop", "nan"),
+            ]
+        ),
     ],
 )
 def test_exit_code(tmp_path, capsys, argv, text, code, fragment):
@@ -443,7 +464,7 @@ class TestTableWriter:
         assert len(header) == expected.shape[1] == 12
         assert np.array_equal(cells, expected, equal_nan=True)
 
-        w = sample_envelopes(design_pulses(qubit, sweeps.BASE_T), traj.times, scale=DEFAULT_SCALE)
+        w = designed_drive(qubit, PulsePair.T, DEFAULT_SCALE).sample(traj.times)
         expected = np.column_stack([traj.times, w[:, 0].real, w[:, 0].imag, w[:, 1].real, w[:, 1].imag])
         header, cells = _read_table(out.with_suffix(".envelopes.csv"))
         assert len(header) == expected.shape[1]

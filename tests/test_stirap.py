@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qubitrot import (
     InitialQubit,
     chopped_rotation,
-    design_pulses,
+    designed_drive,
     fidelity,
     orthogonal_state,
     orthogonal_transfer,
@@ -27,25 +27,30 @@ def _standard_qubit():
 
 class TestDesignPulses:
     def test_pure_g_reduces_to_plain_counterintuitive_pair(self):
-        w1, w2 = design_pulses(InitialQubit(1.0, 0.0, 0.0), T=4 / 3)
+        env = designed_drive(InitialQubit(1.0, 0.0, 0.0), T=4 / 3, scale=1.0).evaluator()
         for t in (-1.0, 0.0, 0.5, 2.0):
-            assert w1(t) == pytest.approx(math.exp(-((t - 4 / 3) ** 2)), abs=1e-15)
-            assert w2(t) == pytest.approx(-math.exp(-(t**2)), abs=1e-15)
+            w1, w2 = env(t)
+            assert w1 == pytest.approx(math.exp(-((t - 4 / 3) ** 2)), abs=1e-15)
+            assert w2 == pytest.approx(-math.exp(-(t**2)), abs=1e-15)
 
     @given(q=qubits, t=st.floats(-6.0, 8.0), T=st.floats(0.5, 3.0))
     @settings(max_examples=100)
     def test_effective_couplings_are_pure_gaussians(self, q, t, T):
-        w1, w2 = design_pulses(q, T=T)
+        w1, w2 = designed_drive(q, T=T, scale=1.0).evaluator()(t)
         bminus = q.beta * cmath.exp(-1j * q.phi)
         bplus = bminus.conjugate()
-        f1 = q.alpha * w1(t).conjugate() + bminus * w2(t).conjugate()
-        f2 = bplus * w1(t).conjugate() - q.alpha * w2(t).conjugate()
+        f1 = q.alpha * w1.conjugate() + bminus * w2.conjugate()
+        f2 = bplus * w1.conjugate() - q.alpha * w2.conjugate()
         assert abs(f1 - math.exp(-((t - T) ** 2))) <= 1e-14
         assert abs(f2 - math.exp(-(t**2))) <= 1e-14
 
     def test_rejects_nonpositive_separation(self):
-        with pytest.raises(ValueError):
-            design_pulses(_standard_qubit(), T=0.0)
+        for T in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="separation"):
+                designed_drive(_standard_qubit(), T=T, scale=15.0)
+        for scale in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="scale"):
+                designed_drive(_standard_qubit(), T=1.0, scale=scale)
 
 
 class TestOrthogonalTransfer:
