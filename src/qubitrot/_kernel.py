@@ -1,0 +1,176 @@
+"""The compiled engine: ``_kernel.c`` built on first use and called through ctypes.
+
+The C file ports :func:`qubitrot.dynamics._dopri45` and its two right-hand
+sides, keeping CPython's operation order so that it takes the same steps and
+gives the same bits. The first engine-backed integration in a process builds
+it with the system C compiler into the package's own ``__pycache__``, under a
+name that carries a hash of the source and the flags; later processes load
+that file. If there is no compiler, the directory is not writable or the
+library does not load, :func:`library` returns None for the rest of the
+process and callers fall back to ``_dopri45``.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import logging
+import math
+import os
+import shutil
+import subprocess
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from .errors import IntegrationError
+from .types import SolverStats
+
+log = logging.getLogger(__name__)
+
+SOURCE = Path(__file__).with_name("_kernel.c")
+CACHE_DIR = Path(__file__).with_name("__pycache__")
+
+# No contraction into fused multiply-adds and no builtins: gcc otherwise
+# rewrites pow(x, 2.0) as x*x, which differs from glibc's pow in the last bit
+# for about 0.08 % of arguments. Never -ffast-math or -march=native.
+CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-builtin")
+
+_UNDERFLOW, _DRIFT = 1, 2
+
+_int64 = ctypes.c_int64
+_double = ctypes.c_double
+_ptr = ctypes.c_void_p
+
+
+class Problem(ctypes.Structure):
+    """The drive and right-hand side as numbers; mirrors ``problem`` in _kernel.c."""
+
+    _fields_ = (
+        [(name, _double) for name in ("ca", "cb", "inv_tau", "cutoff")]
+        + [(f"w{ij}{part}", _double) for ij in ("11", "12", "21", "22") for part in ("re", "im")]
+        + [(name, _int64) for name in ("mixed", "reduced")]
+        + [("d1", _double), ("dd", _double), ("kind1", _int64), ("kind2", _int64)]
+        + [(name, _double) for name in ("chi1", "chi2", "center1", "center2", "chirp_inv_tau")]
+        + [(name, _double) for name in ("alpha", "bplus_re", "bplus_im", "inv_delta")]
+    )
+
+
+def problem(drive, **fields) -> Problem:
+    """``drive`` (a :class:`~qubitrot.dynamics.Drive`) as kernel numbers, plus
+    the right-hand side's ``fields``.
+
+    Takes the same two-product form as ``Drive.evaluator`` for a diagonal W
+    without a cut-off, and its general form otherwise.
+    """
+    (w11, w12), (w21, w22) = drive.weights
+    mixed = not (w12 == 0 and w21 == 0 and drive.cutoff == math.inf)
+    weights = {}
+    for name, w in zip(("w11", "w12", "w21", "w22"), (w11, w12, w21, w22)):
+        weights[name + "re"], weights[name + "im"] = w.real, w.imag
+    ca, cb = drive.centers
+    return Problem(
+        ca=ca, cb=cb, inv_tau=1.0 / drive.tau, cutoff=drive.cutoff,
+        mixed=mixed, **weights, **fields,
+    )  # fmt: skip
+
+
+def compile_library(cache_dir: Path = CACHE_DIR) -> Path:
+    """Path of the built kernel in ``cache_dir``, compiling it if it is missing.
+
+    The library is written to a temporary name in ``cache_dir`` and moved into
+    place, so concurrent processes never load a partial file. Raises OSError
+    or subprocess.SubprocessError if it cannot be built.
+    """
+    source = SOURCE.read_bytes()
+    digest = hashlib.sha256(source + " ".join(CFLAGS).encode() + os.uname().machine.encode())
+    target = cache_dir / f"_kernel-{digest.hexdigest()[:16]}.so"
+    if target.is_file():
+        return target
+    cc = shutil.which("cc") or shutil.which("gcc")
+    if cc is None:
+        raise FileNotFoundError("no C compiler (cc or gcc) on PATH")
+    cache_dir.mkdir(exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix="_kernel-", suffix=".tmp", dir=cache_dir)
+    os.close(fd)
+    try:
+        subprocess.run(
+            [cc, *CFLAGS, "-o", tmp, str(SOURCE), "-lm"],
+            check=True,
+            capture_output=True,
+            timeout=120,
+        )
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return target
+
+
+def load(path: Path) -> ctypes.CDLL:
+    lib = ctypes.CDLL(str(path))
+    fn = lib.qr_dopri45
+    fn.argtypes = [
+        ctypes.POINTER(Problem), _int64, _double, _ptr, _ptr, _int64,
+        _double, _double, _double, _ptr, _ptr, _ptr, _ptr,
+    ]  # fmt: skip
+    fn.restype = ctypes.c_int
+    return lib
+
+
+_UNSET = object()
+_library = _UNSET
+
+
+def library() -> ctypes.CDLL | None:
+    """The loaded kernel, or None once building or loading it failed in this process."""
+    global _library
+    if _library is _UNSET:
+        try:
+            _library = load(compile_library())
+        except (OSError, subprocess.SubprocessError) as exc:
+            log.debug("compiled kernel unavailable, using the Python stepper: %s", exc)
+            _library = None
+    return _library
+
+
+def dopri45(
+    prob: Problem,
+    t: float,
+    y,
+    t_eval: np.ndarray,
+    rel_tol: float,
+    abs_tol: float,
+    stats: SolverStats,
+    drift_limit: float,
+    n: int = 3,
+) -> np.ndarray:
+    """``dynamics._dopri45`` on the kernel: the samples as an (m, 3) complex array.
+
+    Call only once :func:`library` has returned the library. ``t_eval`` is
+    increasing and its last entry is where the integration stops. Raises the
+    same IntegrationError, with the same message and time, as the Python
+    stepper.
+    """
+    t_eval = np.ascontiguousarray(t_eval, dtype=np.float64)
+    y0 = np.array(y, dtype=np.complex128)
+    if t_eval.ndim != 1 or t_eval.size == 0 or y0.shape != (3,):
+        raise ValueError("need a non-empty 1-d t_eval and a state of three slots")
+    out = np.empty((t_eval.size, 3), dtype=np.complex128)
+    counts = np.array([stats.rhs_evals, stats.accepted_steps, stats.rejected_steps], np.int64)
+    min_step = np.array([stats.min_step])
+    fail = np.zeros(2)
+    code = _library.qr_dopri45(
+        ctypes.byref(prob), n, t, y0.ctypes.data, t_eval.ctypes.data, t_eval.size,
+        rel_tol, abs_tol, drift_limit, out.ctypes.data, counts.ctypes.data,
+        min_step.ctypes.data, fail.ctypes.data,
+    )  # fmt: skip
+    stats.rhs_evals, stats.accepted_steps, stats.rejected_steps = map(int, counts)
+    stats.min_step = float(min_step[0])
+    if code == _UNDERFLOW:
+        raise IntegrationError("step size fell below 10 ulp of t", float(fail[0]))
+    if code == _DRIFT:
+        message = f"norm drift {float(fail[1]):.3g} exceeds {drift_limit}"
+        raise IntegrationError(message, float(fail[0]))
+    return out

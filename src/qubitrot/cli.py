@@ -237,6 +237,11 @@ def _manifest_path(out: Path) -> Path:
     return out.with_suffix(".manifest.json")
 
 
+def _solver_block(traj) -> dict:
+    """The manifest's record of a run's stepper: its counters and its engine."""
+    return {**dataclasses.asdict(traj.stats), "engine": traj.engine}
+
+
 def trajectory_csv_lines(
     traj: Trajectory,
     cfg: SimulationConfig,
@@ -359,7 +364,7 @@ def cmd_simulate(args) -> int:
             "config": config_to_dict(cfg),
             "adiabatic": bool(args.adiabatic),
             "norm_drift_max": traj.max_norm_error,
-            "solver": dataclasses.asdict(traj.stats),
+            "solver": _solver_block(traj),
             "wall_time_s": wall,
             "output": str(out),
         },
@@ -399,11 +404,14 @@ def _load_sweep_spec(args) -> sweeps.SweepSpec:
             raw = [_coerce("sweep_grid", s, float) for s in raw]
         grid = tuple(raw)
     elif {"sweep_start", "sweep_stop", "sweep_points"} <= entries.keys():
+        points = _coerce("sweep_points", entries["sweep_points"], int)
+        if points < 1:
+            raise ConfigError(f"key 'sweep_points': must be at least 1, got {points}")
         grid = tuple(
             np.linspace(
                 _coerce("sweep_start", entries["sweep_start"], float),
                 _coerce("sweep_stop", entries["sweep_stop"], float),
-                _coerce("sweep_points", entries["sweep_points"], int),
+                points,
             )
         )
     else:
@@ -456,8 +464,8 @@ def cmd_twolevel(args) -> int:
             },
             "norm_drift_max": {"full": full.max_norm_error, "reduced": red.max_norm_error},
             "solver": {
-                "full": dataclasses.asdict(full.stats),
-                "reduced": dataclasses.asdict(red.stats),
+                "full": _solver_block(full),
+                "reduced": _solver_block(red),
             },
         },
     )
@@ -508,7 +516,7 @@ def cmd_stirap(args) -> int:
             "fidelity_to_orthogonal": fid,
             "max_p_e": max_p_e,
             "norm_drift_max": traj.max_norm_error,
-            "solver": dataclasses.asdict(traj.stats),
+            "solver": _solver_block(traj),
             "outputs": [str(out), str(env_path)],
         },
     )

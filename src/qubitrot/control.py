@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .analysis import fidelity
 from .dynamics import integrate
@@ -158,6 +157,10 @@ def solve(
 
     free_names = [n for n, (lo, hi) in zip(names, bounds) if lo != hi]
     if free_names:
+        # imported here: scipy.optimize is most of the package's import time
+        # and memory, and only this refinement uses it
+        from scipy.optimize import minimize
+
         fixed = {n: best_values[n] for n in names if n not in free_names}
         counter = [evaluations]
 

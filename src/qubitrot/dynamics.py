@@ -28,7 +28,11 @@ scalar slots, one expression per slot for each stage sum, the error norm and
 the dense output. It takes the same steps as scipy's RK45 only while each sum
 and product keeps scipy's operation order. The two-level reduction runs on
 the same stepper with a zero third slot; the stepper's ``n`` argument, the
-divisor of the RMS error norm, is then 2. The state is never
+divisor of the RMS error norm, is then 2. ``_kernel.c`` ports the stepper and
+both right-hand sides to C in the same operation order, so it takes the same
+steps and gives the same bits (see :mod:`qubitrot._kernel`). A :class:`Drive`
+runs on that port whenever it builds; ``_dopri45`` stays the reference, the
+fallback and the engine of a bare envelope callable. The state is never
 renormalized: norm drift is recorded as a diagnostic so integration bugs stay
 visible, and a drift beyond NORM_DRIFT_LIMIT aborts the run.
 """
@@ -43,7 +47,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import IntegrationError
-from .types import ChirpProfile, PulsePair, SimulationConfig, SolverStats, Trajectory
+from .types import (
+    CHIRP_KINDS,
+    ChirpProfile,
+    PulsePair,
+    SimulationConfig,
+    SolverStats,
+    Trajectory,
+)
 
 # 3x3 complex array M(t), ordered (e, g, f), propagating d' = M d.
 GeneratorMatrix = np.ndarray
@@ -189,7 +200,7 @@ def _rate_fn(c: ChirpProfile, center: float, tau: float):
     return lambda t: chi * math.tanh((t - center) * inv_tau)
 
 
-def _make_rhs(cfg: SimulationConfig, envelopes: EnvelopePair | None):
+def _make_rhs(cfg: SimulationConfig, envelopes: Drive | EnvelopePair | None):
     """Closure evaluating the amplitude derivatives; scalar math for speed."""
     p = cfg.pulses
     d1 = cfg.detunings.delta1
@@ -198,7 +209,9 @@ def _make_rhs(cfg: SimulationConfig, envelopes: EnvelopePair | None):
     rate1 = _rate_fn(p.chirp1, p.center1, p.tau)
     rate2 = _rate_fn(p.chirp2, p.center2, p.tau)
 
-    env = Drive.from_pulses(p).evaluator() if envelopes is None else envelopes
+    env = Drive.from_pulses(p) if envelopes is None else envelopes
+    if isinstance(env, Drive):
+        env = env.evaluator()
 
     def rhs(t, de, dg, df):
         w1, w2 = env(t)
@@ -265,7 +278,8 @@ def _dopri45(
     and at most 1 right after a rejection, and a minimum step of 10 ulp of t.
     Every sum and product runs in the order scipy's RK45 computes it, so both
     take the same steps and give the same states; that holds only while the
-    order is kept, so keep it when editing. The stepper's work is added to
+    order is kept, so keep it when editing, here and in ``_kernel.c``, which
+    follows this function line for line. The stepper's work is added to
     ``stats``.
 
     Raises IntegrationError at the time of failure if the step underflows, or
@@ -542,20 +556,66 @@ def phase_pair(c_g, c_f) -> tuple[np.ndarray, np.ndarray]:
     return cos_phi, signed
 
 
+def _stepper(cfg: SimulationConfig, drive, rhs, n: int = 3, **fields):
+    """The engine that integrates a problem: ``(name, step)``.
+
+    ``step(t, y, t_eval, stats)`` integrates from state ``y`` at ``t`` through
+    ``t_eval`` and returns one row of three samples per entry. The compiled
+    kernel runs when ``drive`` is a :class:`Drive` and the kernel builds and
+    loads, with the right-hand side given by ``fields`` (see ``_kernel.c``);
+    otherwise ``_dopri45`` runs on ``rhs``, and both give the same bits.
+    """
+    if isinstance(drive, Drive):
+        from . import _kernel
+
+        if _kernel.library() is not None:
+            prob = _kernel.problem(drive, **fields)
+
+            def compiled(t, y, t_eval, stats):
+                return _kernel.dopri45(
+                    prob, t, y, t_eval, cfg.rel_tol, cfg.abs_tol, stats, NORM_DRIFT_LIMIT, n
+                )
+
+            return "compiled", compiled
+
+    def python(t, y, t_eval, stats):
+        samples = _dopri45(rhs, t, y, t_eval.tolist(), cfg.rel_tol, cfg.abs_tol, stats, n)
+        return np.array(samples, dtype=complex)
+
+    return "python", python
+
+
+def _lambda_fields(cfg: SimulationConfig) -> dict:
+    """The three-level right-hand side of :func:`_make_rhs` as kernel numbers."""
+    p = cfg.pulses
+    fields = {
+        "d1": cfg.detunings.delta1,
+        "dd": cfg.detunings.delta1 - cfg.detunings.delta2,
+        "chirp_inv_tau": 1.0 / p.tau,
+    }
+    for j, chirp, center in ((1, p.chirp1, p.center1), (2, p.chirp2, p.center2)):
+        fields[f"kind{j}"] = CHIRP_KINDS.index(chirp.kind) if chirp.is_active else 0
+        fields[f"chi{j}"] = chirp.chi
+        fields[f"center{j}"] = center
+    return fields
+
+
 def integrate(
     cfg: SimulationConfig,
     *,
-    envelopes: EnvelopePair | None = None,
+    envelopes: Drive | EnvelopePair | None = None,
     breakpoints: Sequence[float] = (),
 ) -> Trajectory:
     """Propagate the amplitudes over the configured window.
 
     Starts from (0, alpha, beta e^{i phi}) at ``t_start`` and samples the
     dense output on a uniform grid of ``cfg.samples`` points. ``envelopes``
-    optionally replaces the Gaussian pair, e.g. by another
-    :meth:`Drive.evaluator` (the chirp terms still come from the config);
-    ``breakpoints`` forces integrator restarts at envelope discontinuities
-    such as a hard pulse chop, and those outside the window are ignored.
+    replaces the Gaussian pair ``Drive.from_pulses(cfg.pulses)``: another
+    :class:`Drive` runs on the compiled kernel like the default, while a bare
+    callable ``t -> (omega1, omega2)`` runs on the Python stepper (the chirp
+    terms still come from the config). ``breakpoints`` forces integrator
+    restarts at envelope discontinuities such as a hard pulse chop, and those
+    outside the window are ignored.
 
     Raises IntegrationError, carrying the failure time, if step-size control
     underflows before reaching ``t_end`` or the norm drifts beyond
@@ -563,24 +623,25 @@ def integrate(
     """
     q = cfg.initial
     grid = np.linspace(cfg.t_start, cfg.t_end, cfg.samples)
-    y = [0j, complex(q.alpha), q.beta * cmath.exp(1j * q.phi)]
-    rhs = _make_rhs(cfg, envelopes)
+    y = (0j, complex(q.alpha), q.beta * cmath.exp(1j * q.phi))
+    drive = Drive.from_pulses(cfg.pulses) if envelopes is None else envelopes
+    engine, step = _stepper(cfg, drive, _make_rhs(cfg, drive), **_lambda_fields(cfg))
 
     cuts = [cfg.t_start]
     cuts += [float(b) for b in sorted(breakpoints) if cfg.t_start < float(b) < cfg.t_end]
     cuts.append(cfg.t_end)
 
-    rows = []
+    blocks = []
     stats = SolverStats()
     for a, b in zip(cuts[:-1], cuts[1:]):
-        mask = (grid > a) & (grid <= b) if rows else (grid >= a) & (grid <= b)
-        seg = grid[mask].tolist()
-        t_eval = seg if seg and seg[-1] == b else seg + [b]
-        samples = _dopri45(rhs, a, y, t_eval, cfg.rel_tol, cfg.abs_tol, stats)
-        rows += samples[: len(seg)]
-        y = samples[-1]
+        mask = (grid > a) & (grid <= b) if blocks else (grid >= a) & (grid <= b)
+        seg = grid[mask]
+        t_eval = seg if seg.size and seg[-1] == b else np.append(seg, b)
+        samples = step(a, y, t_eval, stats)
+        blocks.append(samples[: seg.size])
+        y = tuple(map(complex, samples[-1]))
 
-    states = np.array(rows, dtype=complex)
+    states = np.concatenate(blocks)
     populations = np.abs(states) ** 2
     norm_err = float(np.max(np.abs(populations.sum(axis=1) - 1.0)))
     bare = rotated_to_bare(states, grid, cfg)
@@ -594,4 +655,5 @@ def integrate(
         config=cfg,
         max_norm_error=norm_err,
         stats=stats,
+        engine=engine,
     )

@@ -108,4 +108,4 @@ def chopped_rotation(
     # resonant and unchirped on the default window; the PulsePair records the
     # scale and the timing for provenance, the designed drive is integrated
     cfg = SimulationConfig(PulsePair(scale, scale, T=T), DetuningSpec(0.0, 0.0), q)
-    return integrate(cfg, envelopes=drive.evaluator(), breakpoints=(stop_time,))
+    return integrate(cfg, envelopes=drive, breakpoints=(stop_time,))

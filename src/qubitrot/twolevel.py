@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Drive, _dopri45, envelope, integrate
+from .dynamics import Drive, _stepper, envelope, integrate
 from .errors import UnsupportedRegimeError
 from .types import SimulationConfig, SolverStats, Trajectory
 
@@ -94,6 +94,7 @@ class TwoLevelTrajectory:
     p_f: np.ndarray
     max_norm_error: float
     stats: SolverStats
+    engine: str
 
 
 def _make_reduced_rhs(cfg: SimulationConfig):
@@ -127,9 +128,10 @@ def _make_reduced_rhs(cfg: SimulationConfig):
 def integrate_two_level(cfg: SimulationConfig) -> TwoLevelTrajectory:
     """Propagate the reduced problem from (d_i, d_k) = (1, 0).
 
-    Uses the same adaptive stepper and tolerances as the full integration so
-    that differences against it measure modeling error, not solver error.
-    Raises IntegrationError like :func:`~qubitrot.dynamics.integrate`.
+    Uses the same adaptive stepper, engine and tolerances as the full
+    integration so that differences against it measure modeling error, not
+    solver error. Raises IntegrationError like
+    :func:`~qubitrot.dynamics.integrate`.
     The mapping back to (P_g, P_f) is the exact unitary basis change
 
         d_g = alpha d_i + beta e^{-i phi} d_k,
@@ -142,10 +144,18 @@ def integrate_two_level(cfg: SimulationConfig) -> TwoLevelTrajectory:
     bminus = bplus.conjugate()
     grid = np.linspace(cfg.t_start, cfg.t_end, cfg.samples)
     stats = SolverStats()
-    samples = _dopri45(
-        rhs, cfg.t_start, (1.0 + 0j, 0j, 0j), grid.tolist(), cfg.rel_tol, cfg.abs_tol, stats, n=2
+    engine, step = _stepper(
+        cfg,
+        Drive.from_pulses(cfg.pulses),
+        rhs,
+        n=2,
+        reduced=1,
+        alpha=alpha,
+        bplus_re=bplus.real,
+        bplus_im=bplus.imag,
+        inv_delta=1.0 / cfg.detunings.delta1,
     )
-    d_i, d_k, _ = np.array(samples, dtype=complex).T
+    d_i, d_k, _ = step(cfg.t_start, (1.0 + 0j, 0j, 0j), grid, stats).T
     d_g = alpha * d_i + bminus * d_k
     d_f = bplus * d_i - alpha * d_k
     norm_err = float(np.max(np.abs(np.abs(d_i) ** 2 + np.abs(d_k) ** 2 - 1.0)))
@@ -157,6 +167,7 @@ def integrate_two_level(cfg: SimulationConfig) -> TwoLevelTrajectory:
         p_f=np.abs(d_f) ** 2,
         max_norm_error=norm_err,
         stats=stats,
+        engine=engine,
     )
 
 

@@ -267,7 +267,8 @@ class Trajectory:
     sample; ``populations`` is exactly |states|^2. ``cos_phi`` and
     ``phi_signed`` describe the relative phase of the bare ground amplitudes
     and are NaN where either ground amplitude vanishes. ``stats`` records
-    what the stepper did.
+    what the stepper did, and ``engine`` which stepper ran: "compiled" (the
+    C kernel) or "python" (``dynamics._dopri45``).
     """
 
     times: np.ndarray
@@ -278,6 +279,7 @@ class Trajectory:
     config: SimulationConfig
     max_norm_error: float
     stats: SolverStats
+    engine: str
 
     @property
     def p_e(self) -> np.ndarray:

@@ -1,13 +1,17 @@
 import dataclasses
 import json
 import math
+import os
 import runpy
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qubitrot
 from qubitrot import sweeps
 from qubitrot.analysis import adiabatic_populations
 from qubitrot.cli import _table_lines, build_config, config_to_dict, load_config_file, main
@@ -314,6 +318,17 @@ SWEEP = ["sweep", "--config", "{input}"]
             "'sweep_grid'",
             id="sweep_grid-str",
         ),
+        *(
+            pytest.param(
+                SWEEP,
+                FAST_BASE + "sweep_parameter = delta_tau\nsweep_start = 30\nsweep_stop = 60\n"
+                f"sweep_points = {points}\n",
+                2,
+                "'sweep_points'",
+                id=f"sweep_points-{points}",
+            )
+            for points in (-1, 0)
+        ),
         pytest.param(
             ["sweep", "--preset", "fig2", "--grid-points", "0"], None, 2, "--grid-points",
             id="grid-points-0",
@@ -367,6 +382,7 @@ def test_manifest_reports_solver_stats(tmp_path):
     assert solver["rhs_evals"] == calls[0]
     assert solver["rhs_evals"] == 2 + 6 * (solver["accepted_steps"] + solver["rejected_steps"])
     assert 0.0 < solver["min_step"] < 1.0
+    assert solver["engine"] == integrate(cfg).engine
 
     # twolevel reports the full and the reduced run, each as a direct run does
     fast = _write(tmp_path, "fast.cfg", FAST_BASE)
@@ -376,8 +392,8 @@ def test_manifest_reports_solver_stats(tmp_path):
     cfg = build_config(load_config_file(fast))
     full, reduced = integrate(cfg), integrate_two_level(cfg)
     assert manifest["solver"] == {
-        "full": dataclasses.asdict(full.stats),
-        "reduced": dataclasses.asdict(reduced.stats),
+        "full": {**dataclasses.asdict(full.stats), "engine": full.engine},
+        "reduced": {**dataclasses.asdict(reduced.stats), "engine": reduced.engine},
     }
     assert manifest["norm_drift_max"] == {
         "full": full.max_norm_error,
@@ -390,8 +406,22 @@ def test_manifest_reports_solver_stats(tmp_path):
     assert main(["stirap", "--alpha", "0.3", "--out", str(out)]) == 0
     manifest = _read_manifest(out)
     traj = orthogonal_transfer(InitialQubit(0.3, math.sqrt(1 - 0.3**2), math.pi / 2)).trajectory
-    assert manifest["solver"] == dataclasses.asdict(traj.stats)
+    assert manifest["solver"] == {**dataclasses.asdict(traj.stats), "engine": traj.engine}
     assert manifest["norm_drift_max"] == traj.max_norm_error <= 1e-8
+
+
+def test_cli_import_loads_neither_scipy_nor_the_kernel():
+    # scipy.optimize is imported by control.solve and the kernel on first use
+    probe = (
+        "import sys, qubitrot.cli; qubitrot.cli.build_parser(); "
+        "print(sorted(m for m in ('scipy', 'qubitrot._kernel') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(qubitrot.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_tolerance_below_100_eps_runs_as_requested(tmp_path):

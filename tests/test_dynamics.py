@@ -1,5 +1,7 @@
 import cmath
+import logging
 import math
+import subprocess
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, solve_ivp
 
 from qubitrot import (
+    PRESET_NAMES,
     ChirpProfile,
     DetuningSpec,
     InitialQubit,
@@ -20,7 +23,9 @@ from qubitrot import (
     designed_drive,
     envelope,
     integrate,
+    preset_base,
 )
+from qubitrot import _kernel, cli
 from qubitrot.dynamics import Drive, _make_rhs
 from oracles import rk4_final_state
 
@@ -340,3 +345,108 @@ class TestIntegrate:
         floor = integrate(cfg.with_(rel_tol=100 * np.finfo(float).eps))
         assert fine.stats.rhs_evals > floor.stats.rhs_evals
         assert fine.max_norm_error <= 1e-8
+
+
+def _assert_same_run(compiled, python):
+    """The kernel's run against the Python stepper's: same bits, same steps."""
+    assert (compiled.engine, python.engine) == ("compiled", "python")
+    assert compiled.states.tobytes() == python.states.tobytes()
+    assert compiled.stats == python.stats
+
+
+def _on_python_stepper(cfg: SimulationConfig, drive: Drive, **kw):
+    # a bare callable always runs on dynamics._dopri45
+    return integrate(cfg, envelopes=drive.evaluator(), **kw)
+
+
+class TestEngines:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets(self, kernel, name):
+        cfg = preset_base(name)
+        _assert_same_run(integrate(cfg), _on_python_stepper(cfg, Drive.from_pulses(cfg.pulses)))
+
+    @pytest.mark.parametrize("delta", [0.7, -2.1])
+    def test_relative_pulse_phase(self, kernel, delta):
+        cfg = _cfg(delta_tau=45.0)
+        cfg = cfg.with_(pulses=PulsePair(15.0, 15.0, T=T_DEFAULT, delta=delta))
+        _assert_same_run(integrate(cfg), _on_python_stepper(cfg, Drive.from_pulses(cfg.pulses)))
+
+    @given(
+        drive=drives,
+        delta_tau=st.floats(-60.0, 60.0),
+        kind=st.sampled_from(["none", "linear", "tanh"]),
+        chi=st.floats(-2.0, 2.0),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_drawn_drives(self, kernel, drive, delta_tau, kind, chi):
+        cfg = _cfg(delta_tau=delta_tau, chirp_kind=kind, chi=chi)
+        cfg = cfg.with_(t_start=-4.0, t_end=6.0, samples=51)
+        cut = (drive.cutoff,)
+        _assert_same_run(
+            integrate(cfg, envelopes=drive, breakpoints=cut),
+            _on_python_stepper(cfg, drive, breakpoints=cut),
+        )
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            pytest.param(_cfg(chirp_kind="linear", chi=1e14), id="step-underflow"),
+            pytest.param(_cfg(delta_tau=45.0).with_(rel_tol=0.01), id="norm-drift"),
+        ],
+    )
+    def test_failures_match(self, kernel, cfg):
+        errors = []
+        for envelopes in (None, Drive.from_pulses(cfg.pulses).evaluator()):
+            with pytest.raises(IntegrationError) as excinfo:
+                integrate(cfg, envelopes=envelopes)
+            errors.append((str(excinfo.value), excinfo.value.time))
+        assert errors[0] == errors[1]
+
+    def test_drift_exit_code_and_message_match(self, kernel, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "loose.cfg"
+        path.write_text("rel_tol = 0.01\n")
+        argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "out.csv")]
+        assert cli.main(argv) == 3
+        compiled = capsys.readouterr().err
+        monkeypatch.setattr(_kernel, "_library", None)
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == compiled
+        assert "norm drift 0.0103 exceeds 0.01" in compiled
+
+    def test_fallback_when_the_kernel_cannot_build(self, monkeypatch, caplog):
+        cfg = _cfg(delta_tau=45.0)
+        expected = integrate(cfg)
+        calls = []
+
+        def no_compiler(cache_dir=_kernel.CACHE_DIR):
+            calls.append(cache_dir)
+            raise FileNotFoundError("no C compiler (cc or gcc) on PATH")
+
+        monkeypatch.setattr(_kernel, "_library", _kernel._UNSET)
+        monkeypatch.setattr(_kernel, "compile_library", no_compiler)
+        with caplog.at_level(logging.DEBUG, logger="qubitrot"):
+            first, second = integrate(cfg), integrate(cfg)
+        assert first.engine == second.engine == "python"
+        assert first.states.tobytes() == expected.states.tobytes()
+        assert first.stats == expected.stats
+        # the failure is remembered and logged once, not retried per call
+        assert len(calls) == 1
+        assert [r.levelno for r in caplog.records if "kernel" in r.getMessage()] == [logging.DEBUG]
+
+    def test_build_once_then_reuse(self, kernel, tmp_path, monkeypatch):
+        compiles = []
+        run = subprocess.run
+
+        def counting_run(*args, **kwargs):
+            compiles.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        first = _kernel.compile_library(tmp_path)
+        stamp = first.stat().st_mtime_ns
+        second = _kernel.compile_library(tmp_path)
+        assert first == second and second.stat().st_mtime_ns == stamp
+        assert len(compiles) == 1
+        # the temporary file was moved into place, and the library loads
+        assert [p.name for p in tmp_path.iterdir()] == [first.name]
+        assert _kernel.load(second).qr_dopri45 is not None

@@ -10,9 +10,11 @@ from qubitrot import (
     chopped_rotation,
     designed_drive,
     fidelity,
+    integrate,
     orthogonal_state,
     orthogonal_transfer,
 )
+from qubitrot.stirap import DEFAULT_SCALE
 
 qubits = st.builds(
     lambda a, phi: InitialQubit(a, math.sqrt(1.0 - a * a), phi),
@@ -112,3 +114,27 @@ class TestChoppedRotation:
             )
         assert fids == sorted(fids)
         assert fids[0] < 0.05 and fids[-1] > 0.9
+
+
+class TestEngines:
+    """The designed drive on the compiled kernel against the Python stepper."""
+
+    @staticmethod
+    def _assert_matches_python_stepper(traj, q, stop_time):
+        drive = designed_drive(q, traj.config.pulses.T, DEFAULT_SCALE, stop_time)
+        ref = integrate(traj.config, envelopes=drive.evaluator(), breakpoints=(stop_time,))
+        assert (traj.engine, ref.engine) == ("compiled", "python")
+        assert traj.states.tobytes() == ref.states.tobytes()
+        assert traj.stats == ref.stats
+
+    @pytest.mark.parametrize(
+        "q", [_standard_qubit(), InitialQubit(1.0, 0.0)], ids=["superposition", "pure-g"]
+    )
+    def test_orthogonal_transfer(self, kernel, q):
+        traj = orthogonal_transfer(q).trajectory
+        self._assert_matches_python_stepper(traj, q, math.inf)
+
+    @pytest.mark.parametrize("stop_time", [0.0, 0.5, 2.0])
+    def test_chopped_rotation(self, kernel, stop_time):
+        q = _standard_qubit()
+        self._assert_matches_python_stepper(chopped_rotation(q, stop_time=stop_time), q, stop_time)

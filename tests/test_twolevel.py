@@ -14,8 +14,11 @@ from qubitrot import (
     effective_params,
     envelope,
     integrate_two_level,
+    preset_base,
 )
+from qubitrot.dynamics import _dopri45
 from qubitrot.twolevel import _make_reduced_rhs
+from qubitrot.types import SolverStats
 
 
 def _cfg(**kw):
@@ -130,3 +133,26 @@ class TestCompareWithFull:
         devs = [compare_with_full(_cfg(delta_tau=d)).final_dev for d in (30.0, 45.0, 60.0, 120.0)]
         assert devs[0] > devs[-1]
         assert all(a >= b for a, b in zip(devs, devs[1:]))
+
+
+class TestEngines:
+    @pytest.mark.parametrize("name", ["fig8", "fig9", "fig10"])
+    def test_kernel_matches_python_stepper(self, kernel, name):
+        cfg = preset_base(name)
+        red = integrate_two_level(cfg)
+        stats = SolverStats()
+        samples = _dopri45(
+            _make_reduced_rhs(cfg),
+            cfg.t_start,
+            (1.0 + 0j, 0j, 0j),
+            red.times.tolist(),
+            cfg.rel_tol,
+            cfg.abs_tol,
+            stats,
+            n=2,
+        )
+        d_i, d_k, _ = np.array(samples, dtype=complex).T
+        assert red.engine == "compiled"
+        assert red.d_i.tobytes() == d_i.tobytes()
+        assert red.d_k.tobytes() == d_k.tobytes()
+        assert red.stats == stats
