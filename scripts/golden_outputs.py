@@ -43,6 +43,22 @@ CONFIGS = {
     ),
     # both points exceed the norm-drift limit: the CSV carries the error text
     "sweep_loose.cfg": "rel_tol = 0.01\nsweep_parameter = delta_tau\nsweep_grid = 30, 60\n",
+    # every config key away from its default
+    "all_keys.cfg": (
+        "alpha = 0.6\nbeta = 0.8\nphi = 0.4\nomega01_tau = 12.0\nomega02_tau = 14.0\n"
+        "T_over_tau = 1.5\ndelta = 0.3\ndelta1_tau = 50.0\ndelta2_tau = 48.0\n"
+        "chirp1_kind = linear\nchi1 = 0.4\nchirp2_kind = tanh\nchi2 = -0.3\n"
+        "origin_over_tau = 0.5\nt_start_over_tau = -7.0\nt_end_over_tau = 14.0\n"
+        "samples = 401\nrel_tol = 1e-9\nabs_tol = 1e-11\n"
+    ),
+    "sweep_separation.cfg": (
+        "delta_tau = 75.0\nsweep_parameter = T_over_tau\nsweep_grid = 0.5, 1.5, 2.5\n"
+    ),
+    "sweep_chi_ratio.cfg": (
+        "delta_tau = 75.0\nchirp1_kind = tanh\nchi1 = 0.5\nchirp2_kind = tanh\nchi2 = 0.5\n"
+        "sweep_parameter = chi_ratio\nsweep_start = -1\nsweep_stop = 1\nsweep_points = 3\n"
+    ),
+    "sweep_pulse_phase.cfg": "sweep_parameter = delta_phase\nsweep_grid = 0, 0.7, 1.4\n",
 }
 
 
@@ -61,10 +77,12 @@ def commands(inputs: Path) -> dict[str, list[str]]:
             cmds[f"sweep_{name}_{points}"] = argv
     for name in ("fig13", "fig7"):
         cmds[f"sweep_{name}_3"] = ["sweep", "--preset", name, "--grid-points", "3"]
-    for name in ("sweep_kinds", "sweep_range", "sweep_loose"):
-        cmds[name] = ["sweep", "--config", str(inputs / f"{name}.cfg")]
-    for name in ("unequal_detunings", "delta1_beta", "delta2_tanh", "pulse_phase"):
-        cmds[f"simulate_{name}"] = ["simulate", "--config", str(inputs / f"{name}.cfg")]
+    for name in CONFIGS:
+        stem = name.removesuffix(".cfg")
+        if stem.startswith("sweep_"):
+            cmds[stem] = ["sweep", "--config", str(inputs / name)]
+        else:
+            cmds[f"simulate_{stem}"] = ["simulate", "--config", str(inputs / name)]
     cmds["stirap"] = ["stirap"]
     cmds["stirap_chop"] = ["stirap", "--chop", "0.7", "--alpha", "0.5"]
     cmds["stirap_flags"] = [

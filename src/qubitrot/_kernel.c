@@ -177,7 +177,8 @@ int qr_dopri45(const problem *p, int64_t n, double t, const double *y0, const do
         int rejected = 0;
         h_abs = max2(h_abs, min_step);
         for (;;) {
-            if (h_abs < min_step) {
+            /* a NaN step (NaN derivative or tolerance) fails here too */
+            if (!(h_abs >= min_step)) {
                 fail[0] = t;
                 return QR_UNDERFLOW;
             }

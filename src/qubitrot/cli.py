@@ -38,19 +38,20 @@ from .errors import ConfigError, IntegrationError, SolverError, UnsupportedRegim
 from .twolevel import compare_with_full
 from .types import (
     CHIRP_KINDS,
-    ChirpProfile,
-    DetuningSpec,
+    CONFIG_KEYS,
     InitialQubit,
     PulsePair,
     SimulationConfig,
     Trajectory,
+    config_to_dict,
     normalizing_beta,
     orthogonal_state,
+    with_keys,
 )
 
 WORKERS_ENV = "QUBITROT_WORKERS"
 
-# sweep-file keys that build_config skips; _load_sweep_spec reads them
+# the keys of a sweep file that _load_sweep_spec reads besides the config
 _SWEEP_KEYS = ("sweep_parameter", "sweep_grid", "sweep_start", "sweep_stop", "sweep_points")
 
 
@@ -73,8 +74,8 @@ def _parse_keyvalue_text(text: str, path: str) -> dict[str, str]:
 def load_config_file(path: str) -> dict:
     """Read a key=value config file, or the ``config`` block of a JSON manifest."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if text.lstrip().startswith("{"):
         try:
@@ -103,96 +104,50 @@ def _coerce(key: str, value, parser):
     raise ConfigError(f"invalid value for key '{key}': {value!r}")
 
 
-def build_config(entries: dict, *, allow_sweep_keys: bool = False) -> SimulationConfig:
+def build_config(entries: dict) -> SimulationConfig:
     """Turn a flat key/value mapping into a validated SimulationConfig.
 
-    Every key of ``config_to_dict`` is accepted, with the default and the
-    type of the base scenario; ``delta_tau`` sets both detunings. An omitted
+    Every key of ``CONFIG_KEYS`` is accepted, with the default and the type
+    of the base scenario; ``delta_tau`` sets both detunings. An omitted
     ``beta`` follows ``alpha`` and an omitted ``delta2_tau`` follows
     ``delta1_tau``. Raises ConfigError naming the offending key for unknown
     keys, unparsable values, and violated invariants.
     """
-    values = dict(_DEFAULTS)
+    values = {}
     for key, raw in entries.items():
-        if allow_sweep_keys and key in _SWEEP_KEYS:
-            continue
         if key == "delta_tau":
             values[key] = _coerce(key, raw, float)
-        elif key in _DEFAULTS:
+        elif key in CONFIG_KEYS:
             values[key] = _coerce(key, raw, type(_DEFAULTS[key]))
         else:
             raise ConfigError(f"unknown config key '{key}'")
 
-    alpha = values["alpha"]
-    beta = values["beta"]
-    if "beta" not in entries:
+    if "beta" not in values:
+        alpha = values.get("alpha", _DEFAULTS["alpha"])
         if not 0.0 <= alpha <= 1.0:
             raise ConfigError(f"key 'alpha': must lie in [0, 1], got {alpha}")
-        beta = normalizing_beta(alpha)
+        values["beta"] = normalizing_beta(alpha)
 
-    if "delta_tau" in entries:
-        if "delta1_tau" in entries or "delta2_tau" in entries:
+    if "delta_tau" in values:
+        if "delta1_tau" in values or "delta2_tau" in values:
             raise ConfigError("key 'delta_tau' conflicts with 'delta1_tau'/'delta2_tau'")
-        d1 = d2 = values["delta_tau"]
-    else:
-        d1 = values["delta1_tau"]
-        d2 = values["delta2_tau"] if "delta2_tau" in entries else d1
+        values["delta1_tau"] = values["delta2_tau"] = values.pop("delta_tau")
+    elif "delta2_tau" not in values:
+        values["delta2_tau"] = values.get("delta1_tau", _DEFAULTS["delta1_tau"])
 
     for key in ("chirp1_kind", "chirp2_kind"):
-        if values[key] not in CHIRP_KINDS:
+        if values.get(key, "none") not in CHIRP_KINDS:
             raise ConfigError(f"key '{key}': must be one of {CHIRP_KINDS}, got {values[key]!r}")
 
     try:
-        return SimulationConfig(
-            pulses=PulsePair(
-                omega01=values["omega01_tau"],
-                omega02=values["omega02_tau"],
-                T=values["T_over_tau"],
-                delta=values["delta"],
-                chirp1=ChirpProfile(values["chirp1_kind"], values["chi1"]),
-                chirp2=ChirpProfile(values["chirp2_kind"], values["chi2"]),
-                origin=values["origin_over_tau"],
-            ),
-            detunings=DetuningSpec(d1, d2),
-            initial=InitialQubit(alpha, beta, values["phi"]),
-            t_start=values["t_start_over_tau"],
-            t_end=values["t_end_over_tau"],
-            rel_tol=values["rel_tol"],
-            abs_tol=values["abs_tol"],
-            samples=values["samples"],
-        )
+        return with_keys(_BASE, values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def config_to_dict(cfg: SimulationConfig) -> dict:
-    """Flat mapping of a resolved configuration, invertible by build_config."""
-    p = cfg.pulses
-    return {
-        "alpha": cfg.initial.alpha,
-        "beta": cfg.initial.beta,
-        "phi": cfg.initial.phi,
-        "omega01_tau": p.omega01,
-        "omega02_tau": p.omega02,
-        "T_over_tau": p.T,
-        "delta": p.delta,
-        "delta1_tau": cfg.detunings.delta1,
-        "delta2_tau": cfg.detunings.delta2,
-        "chirp1_kind": p.chirp1.kind,
-        "chi1": p.chirp1.chi,
-        "chirp2_kind": p.chirp2.kind,
-        "chi2": p.chirp2.chi,
-        "origin_over_tau": p.origin,
-        "t_start_over_tau": cfg.t_start,
-        "t_end_over_tau": cfg.t_end,
-        "samples": cfg.samples,
-        "rel_tol": cfg.rel_tol,
-        "abs_tol": cfg.abs_tol,
-    }
-
-
 # the one source of config defaults and key types (float, str, int)
-_DEFAULTS = config_to_dict(sweeps.base_config())
+_BASE = sweeps.base_config()
+_DEFAULTS = config_to_dict(_BASE)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +348,7 @@ def _load_sweep_spec(args) -> sweeps.SweepSpec:
     if not args.config:
         raise ConfigError("one of --preset or --config is required")
     entries = load_config_file(args.config)
-    base = build_config(entries, allow_sweep_keys=True)
+    base = build_config({k: v for k, v in entries.items() if k not in _SWEEP_KEYS})
     try:
         parameter = str(entries["sweep_parameter"])
     except KeyError:
@@ -526,8 +481,8 @@ def cmd_stirap(args) -> int:
 
 def _load_problem(path: str) -> tuple[control.ControlProblem, dict]:
     try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read problem file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
@@ -581,6 +536,10 @@ def _load_problem(path: str) -> tuple[control.ControlProblem, dict]:
     }
     if options["grid_points"] < 1:
         raise ConfigError(f"key 'grid_points': must be at least 1, got {options['grid_points']}")
+    if not 0.0 < options["eval_rel_tol"] < math.inf:
+        raise ConfigError(
+            f"key 'eval_rel_tol': must be positive and finite, got {options['eval_rel_tol']}"
+        )
     return problem, options
 
 

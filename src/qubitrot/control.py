@@ -54,7 +54,7 @@ class ControlProblem:
         if target.shape != (2,):
             raise ValueError(f"target must be a (g, f) pair, got shape {target.shape}")
         n = np.linalg.norm(target)
-        if abs(n - 1.0) > 1e-6:
+        if not abs(n - 1.0) <= 1e-6:
             raise ValueError(f"target must be normalized, got |target| = {n!r}")
         object.__setattr__(self, "target", target)
         params = dict(self.free_parameters)
@@ -69,9 +69,15 @@ class ControlProblem:
                 raise ValueError(f"bounds for {name!r} must be finite, got ({lo}, {hi})")
             if lo > hi:
                 raise ValueError(f"lower bound exceeds upper for {name!r}: ({lo}, {hi})")
+            # each parameter's valid values form an interval: check its ends
+            for value in (lo, hi):
+                try:
+                    apply_parameter(self.base, name, value)
+                except ValueError as exc:
+                    raise ValueError(f"bound {value} for {name!r}: {exc}") from exc
         object.__setattr__(self, "free_parameters", params)
-        if self.leak_weight < 0:
-            raise ValueError(f"leak_weight must be non-negative, got {self.leak_weight}")
+        if not 0.0 <= self.leak_weight < math.inf:
+            raise ValueError(f"leak_weight must be non-negative and finite, got {self.leak_weight}")
 
 
 @dataclass

@@ -341,7 +341,8 @@ def _dopri45(
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
-            if h_abs < min_step:
+            # written so that a NaN step (from a NaN derivative or tolerance) fails too
+            if not h_abs >= min_step:
                 raise IntegrationError("step size fell below 10 ulp of t", t)
             t_new = min(t + h_abs, t_end)
             h = h_abs = t_new - t

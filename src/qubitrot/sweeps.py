@@ -18,7 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,19 +33,23 @@ from .types import (
     PulsePair,
     SimulationConfig,
     normalizing_beta,
+    with_keys,
 )
 
 log = logging.getLogger(__name__)
 
-SWEEP_PARAMETERS = (
-    "delta_tau",
-    "T_over_tau",
-    "ratio_omega",
-    "delta_phase",
-    "chi",
-    "chi_ratio",
-    "chirp_kind",
-)
+# sweep parameter -> the config keys it sets, given the config and the value
+_PARAMETER_KEYS = {
+    "delta_tau": lambda cfg, v: {"delta1_tau": float(v), "delta2_tau": float(v)},
+    "T_over_tau": lambda cfg, v: {"T_over_tau": float(v)},
+    "ratio_omega": lambda cfg, v: {"omega01_tau": float(v) * cfg.pulses.omega02},
+    "delta_phase": lambda cfg, v: {"delta": float(v)},
+    "chi": lambda cfg, v: {"chi1": float(v), "chi2": float(v)},
+    "chi_ratio": lambda cfg, v: {"chi1": 1.0, "chi2": float(v)},
+    "chirp_kind": lambda cfg, v: {"chirp1_kind": str(v), "chirp2_kind": str(v)},
+}
+
+SWEEP_PARAMETERS = tuple(_PARAMETER_KEYS)
 
 
 def apply_parameter(cfg: SimulationConfig, name: str, value) -> SimulationConfig:
@@ -56,52 +60,14 @@ def apply_parameter(cfg: SimulationConfig, name: str, value) -> SimulationConfig
     chirp rates; chi_ratio pins chi1 = 1 and sets chi2; chirp_kind switches
     both profiles' shapes, keeping their rates.
     """
+    if name not in _PARAMETER_KEYS:
+        raise ValueError(f"unknown sweep parameter {name!r}; valid: {SWEEP_PARAMETERS}")
     p = cfg.pulses
-    if name == "delta_tau":
-        return replace(cfg, detunings=DetuningSpec(float(value), float(value)))
-    if name == "T_over_tau":
-        return replace(cfg, pulses=replace(p, T=float(value)))
-    if name == "ratio_omega":
-        return replace(cfg, pulses=replace(p, omega01=float(value) * p.omega02))
-    if name == "delta_phase":
-        return replace(cfg, pulses=replace(p, delta=float(value)))
-    if name == "chi":
-        if p.chirp1.kind == "none" or p.chirp2.kind == "none":
-            raise ValueError(
-                "cannot sweep chi: base config has chirp kind 'none'; set a profile first"
-            )
-        return replace(
-            cfg,
-            pulses=replace(
-                p,
-                chirp1=ChirpProfile(p.chirp1.kind, float(value)),
-                chirp2=ChirpProfile(p.chirp2.kind, float(value)),
-            ),
+    if name in ("chi", "chi_ratio") and (p.chirp1.kind == "none" or p.chirp2.kind == "none"):
+        raise ValueError(
+            f"cannot sweep {name}: base config has chirp kind 'none'; set a profile first"
         )
-    if name == "chi_ratio":
-        if p.chirp1.kind == "none" or p.chirp2.kind == "none":
-            raise ValueError(
-                "cannot sweep chi_ratio: base config has chirp kind 'none'; set a profile first"
-            )
-        return replace(
-            cfg,
-            pulses=replace(
-                p,
-                chirp1=ChirpProfile(p.chirp1.kind, 1.0),
-                chirp2=ChirpProfile(p.chirp2.kind, float(value)),
-            ),
-        )
-    if name == "chirp_kind":
-        kind = str(value)
-        return replace(
-            cfg,
-            pulses=replace(
-                p,
-                chirp1=ChirpProfile(kind, p.chirp1.chi),
-                chirp2=ChirpProfile(kind, p.chirp2.chi),
-            ),
-        )
-    raise ValueError(f"unknown sweep parameter {name!r}; valid: {SWEEP_PARAMETERS}")
+    return with_keys(cfg, _PARAMETER_KEYS[name](cfg, value))
 
 
 @dataclass(frozen=True)
@@ -134,6 +100,13 @@ class SweepSpec:
             diffs = np.diff(vals)
             if len(vals) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
                 raise ValueError("sweep grid must be strictly monotone")
+        # each parameter's valid values form an interval, so the ends of a
+        # monotone grid decide whether every point builds a valid config
+        for value in (grid[0], grid[-1]):
+            try:
+                apply_parameter(self.base, self.parameter, value)
+            except ValueError as exc:
+                raise ValueError(f"sweep grid value {self.parameter} = {value}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
@@ -234,6 +235,8 @@ class SimulationConfig:
         _require_finite("t_end", self.t_end)
         if self.t_start >= self.t_end:
             raise ValueError(f"t_start must precede t_end, got [{self.t_start}, {self.t_end}]")
+        _require_finite("rel_tol", self.rel_tol)
+        _require_finite("abs_tol", self.abs_tol)
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError(
                 f"tolerances must be positive, got rel_tol={self.rel_tol}, abs_tol={self.abs_tol}"
@@ -243,6 +246,62 @@ class SimulationConfig:
 
     def with_(self, **changes) -> "SimulationConfig":
         return replace(self, **changes)
+
+
+# Every flat config key and the field it names on SimulationConfig, in the
+# order of the "# key = value" lines that head each CSV.
+CONFIG_KEYS = {
+    "alpha": ("initial", "alpha"),
+    "beta": ("initial", "beta"),
+    "phi": ("initial", "phi"),
+    "omega01_tau": ("pulses", "omega01"),
+    "omega02_tau": ("pulses", "omega02"),
+    "T_over_tau": ("pulses", "T"),
+    "delta": ("pulses", "delta"),
+    "delta1_tau": ("detunings", "delta1"),
+    "delta2_tau": ("detunings", "delta2"),
+    "chirp1_kind": ("pulses", "chirp1", "kind"),
+    "chi1": ("pulses", "chirp1", "chi"),
+    "chirp2_kind": ("pulses", "chirp2", "kind"),
+    "chi2": ("pulses", "chirp2", "chi"),
+    "origin_over_tau": ("pulses", "origin"),
+    "t_start_over_tau": ("t_start",),
+    "t_end_over_tau": ("t_end",),
+    "samples": ("samples",),
+    "rel_tol": ("rel_tol",),
+    "abs_tol": ("abs_tol",),
+}
+
+
+def config_to_dict(cfg: SimulationConfig) -> dict:
+    """Flat mapping of a resolved configuration, in CONFIG_KEYS order."""
+    return {key: reduce(getattr, path, cfg) for key, path in CONFIG_KEYS.items()}
+
+
+def with_keys(cfg: SimulationConfig, values: dict) -> SimulationConfig:
+    """``cfg`` with the named CONFIG_KEYS set to ``values``.
+
+    Each record a key reaches is rebuilt once, with all of its new fields, so
+    its invariants are checked on the final combination (alpha and beta
+    together); fields that no key names, such as ``PulsePair.tau``, are kept.
+    Raises KeyError for an unknown key and ValueError for a violated invariant.
+    """
+    changes: dict = {}
+    for key, value in values.items():
+        *records, name = CONFIG_KEYS[key]
+        node = changes
+        for record in records:
+            node = node.setdefault(record, {})
+        node[name] = value
+    return _rebuilt(cfg, changes)
+
+
+def _rebuilt(record, changes: dict):
+    """``record`` with ``changes`` set; a dict value holds the changes of a nested record."""
+    return replace(record, **{
+        name: _rebuilt(getattr(record, name), value) if isinstance(value, dict) else value
+        for name, value in changes.items()
+    })  # fmt: skip
 
 
 @dataclass

@@ -35,7 +35,10 @@ samples = 101
 
 def _write(tmp_path, name, text):
     path = tmp_path / name
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     return str(path)
 
 
@@ -296,6 +299,47 @@ SWEEP = ["sweep", "--config", "{input}"]
         pytest.param(SOLVE, _problem(grid_points=0), 2, "'grid_points'", id="grid_points-0"),
         pytest.param(SOLVE, _problem(eval_rel_tol="x"), 2, "'eval_rel_tol'", id="eval_rel_tol"),
         pytest.param(SOLVE, _problem(leak_weight=True), 2, "'leak_weight'", id="leak_weight"),
+        *(
+            pytest.param(
+                SOLVE, _problem(eval_rel_tol=v), 2, "'eval_rel_tol'", id=f"eval_rel_tol-{v}"
+            )
+            for v in ("nan", -1.0, 0.0)
+        ),
+        pytest.param(SOLVE, _problem(leak_weight="nan"), 2, "leak_weight", id="leak_weight-nan"),
+        pytest.param(
+            SOLVE,
+            _problem(free_parameters={"ratio_omega": [-1.0, 1.0]}),
+            2,
+            "bound -1.0 for 'ratio_omega'",
+            id="bounds-ratio_omega",
+        ),
+        pytest.param(
+            SOLVE,
+            _problem(free_parameters={"chi": [0.0, 1.0]}),
+            2,
+            "cannot sweep chi",
+            id="bounds-chi-unchirped",
+        ),
+        pytest.param(
+            SWEEP,
+            FAST_BASE + "sweep_parameter = ratio_omega\nsweep_grid = 1.0, -0.5\n",
+            2,
+            "sweep grid value ratio_omega = -0.5",
+            id="sweep-ratio_omega-negative",
+        ),
+        pytest.param(
+            SWEEP,
+            FAST_BASE + "sweep_parameter = chi\nsweep_grid = -1, 1\n",
+            2,
+            "cannot sweep chi",
+            id="sweep-chi-unchirped",
+        ),
+        pytest.param(
+            SIMULATE, b"alpha = 0.6\xff\n", 2, "cannot read config file", id="config-not-utf8"
+        ),
+        pytest.param(
+            SOLVE, b'{"grid_points": "\xff"}', 2, "cannot read problem file", id="problem-not-utf8"
+        ),
         pytest.param(
             SOLVE,
             _problem(free_parameters={"delta_tau": ["a", 40.0]}),
@@ -311,6 +355,13 @@ SWEEP = ["sweep", "--config", "{input}"]
             id="target-unnormalized",
         ),
         pytest.param(SOLVE, _problem(base=[1, 2]), 2, "'base'", id="base-not-object"),
+        pytest.param(
+            SOLVE,
+            _problem(target={"g_re": "nan", "g_im": 0.0, "f_re": 1.0, "f_im": 0.0}),
+            2,
+            "target must be normalized",
+            id="target-nan",
+        ),
         pytest.param(
             SWEEP,
             FAST_BASE + "sweep_parameter = delta_tau\nsweep_grid = 20, x\n",
@@ -365,6 +416,44 @@ def test_exit_code(tmp_path, capsys, argv, text, code, fragment):
     argv = [path if a == "{input}" else a for a in argv] + ["--out", str(tmp_path / "out")]
     assert main(argv) == code
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, text, code, fragment",
+    [
+        pytest.param(SIMULATE, "rel_tol = inf\n", 2, "rel_tol must be finite", id="rel_tol-inf"),
+        pytest.param(SIMULATE, "abs_tol = nan\n", 2, "abs_tol must be finite", id="abs_tol-nan"),
+        pytest.param(
+            SOLVE,
+            _problem(base={"alpha": 1.0, "phi": 0.0, "samples": 11, "rel_tol": "nan"}),
+            2,
+            "rel_tol must be finite",
+            id="solve-rel_tol-nan",
+        ),
+        pytest.param(
+            SOLVE, _problem(eval_rel_tol="inf"), 2, "'eval_rel_tol'", id="eval_rel_tol-inf"
+        ),
+        pytest.param(
+            SIMULATE,
+            "chirp1_kind = linear\nchi1 = 1e308\nchirp2_kind = linear\nchi2 = 1e308\n",
+            3,
+            "step size fell below 10 ulp of t (at t = -8)",
+            id="chi-1e308",
+        ),
+    ],
+)
+def test_exit_code_of_nan_step_inputs(tmp_path, argv, text, code, fragment):
+    # inputs that make the first step NaN run in a subprocess: a stepper that
+    # loops on a NaN step then fails on the timeout instead of hanging the suite
+    path = _write(tmp_path, "input", text)
+    argv = [path if a == "{input}" else a for a in argv] + ["--out", str(tmp_path / "out")]
+    env = {**os.environ, "PYTHONPATH": str(Path(qubitrot.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "qubitrot", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )  # fmt: skip
+    assert done.returncode == code, done.stderr
+    assert fragment in done.stderr
 
 
 def test_manifest_reports_solver_stats(tmp_path):

@@ -46,6 +46,24 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="normalized"):
             ControlProblem(np.array([1.0, 1.0]), {"delta_tau": (20.0, 50.0)}, _fast_base())
 
+    @pytest.mark.parametrize(
+        "name, bounds, fragment",
+        [
+            ("ratio_omega", (-1.0, 1.0), "peak rates must be non-negative"),
+            ("chi", (0.0, 1.0), "cannot sweep chi"),
+        ],
+    )
+    def test_bounds_build_valid_configs(self, name, bounds, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            ControlProblem(np.array([1.0, 0.0]), {name: bounds}, _fast_base())
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -1.0])
+    def test_leak_weight(self, weight):
+        with pytest.raises(ValueError, match="leak_weight"):
+            ControlProblem(
+                np.array([1.0, 0.0]), {"delta_tau": (20.0, 50.0)}, _fast_base(), leak_weight=weight
+            )
+
 
 class TestSolve:
     def test_round_trip_recovers_detuning(self):

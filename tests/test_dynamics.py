@@ -1,7 +1,10 @@
 import cmath
 import logging
 import math
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from qubitrot import (
     integrate,
     preset_base,
 )
+import qubitrot
 from qubitrot import _kernel, cli
 from qubitrot.dynamics import Drive, _make_rhs
 from oracles import rk4_final_state
@@ -401,6 +405,28 @@ class TestEngines:
                 integrate(cfg, envelopes=envelopes)
             errors.append((str(excinfo.value), excinfo.value.time))
         assert errors[0] == errors[1]
+
+    def test_nan_step_raises_on_both_engines(self, kernel):
+        # a rate of 1e308 makes the first derivative, and so the first step,
+        # NaN; run in a subprocess so that an engine that loops fails on the
+        # timeout instead of hanging the suite
+        probe = (
+            "from qubitrot import _kernel, base_config, integrate\n"
+            "from qubitrot.errors import IntegrationError\n"
+            "cfg = base_config(chirp_kind='linear', chi=1e308)\n"
+            "for library in (_kernel.library(), None):\n"
+            "    _kernel._library = library\n"
+            "    try:\n"
+            "        integrate(cfg)\n"
+            "    except IntegrationError as exc:\n"
+            "        print(exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(qubitrot.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["step size fell below 10 ulp of t (at t = -8)"] * 2
 
     def test_drift_exit_code_and_message_match(self, kernel, tmp_path, capsys, monkeypatch):
         path = tmp_path / "loose.cfg"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,47 @@ from qubitrot import (
     run_sweep,
 )
 from qubitrot.cli import sweep_csv_lines
+from qubitrot.sweeps import SWEEP_PARAMETERS
+from qubitrot.types import DetuningSpec
+
+# a chirped base whose pulses carry a width no config key names
+_CHIRPED = base_config(chirp_kind="linear", chi=0.3)
+_CHIRPED = replace(_CHIRPED, pulses=replace(_CHIRPED.pulses, tau=2.0))
+_P = _CHIRPED.pulses
+
+_EXPLICIT = {
+    "delta_tau": (75.0, replace(_CHIRPED, detunings=DetuningSpec(75.0, 75.0))),
+    "T_over_tau": (2.5, replace(_CHIRPED, pulses=replace(_P, T=2.5))),
+    "ratio_omega": (0.5, replace(_CHIRPED, pulses=replace(_P, omega01=0.5 * _P.omega02))),
+    "delta_phase": (0.7, replace(_CHIRPED, pulses=replace(_P, delta=0.7))),
+    "chi": (
+        -1.5,
+        replace(
+            _CHIRPED,
+            pulses=replace(
+                _P, chirp1=replace(_P.chirp1, chi=-1.5), chirp2=replace(_P.chirp2, chi=-1.5)
+            ),
+        ),
+    ),
+    "chi_ratio": (
+        -0.5,
+        replace(
+            _CHIRPED,
+            pulses=replace(
+                _P, chirp1=replace(_P.chirp1, chi=1.0), chirp2=replace(_P.chirp2, chi=-0.5)
+            ),
+        ),
+    ),
+    "chirp_kind": (
+        "tanh",
+        replace(
+            _CHIRPED,
+            pulses=replace(
+                _P, chirp1=replace(_P.chirp1, kind="tanh"), chirp2=replace(_P.chirp2, kind="tanh")
+            ),
+        ),
+    ),
+}
 
 
 def _fast_cfg(**kw):
@@ -45,6 +87,13 @@ class TestApplyParameter:
         with pytest.raises(ValueError, match="unknown sweep parameter"):
             apply_parameter(base_config(), "bogus", 1.0)
 
+    @pytest.mark.parametrize("name", SWEEP_PARAMETERS)
+    def test_matches_explicit_records(self, name):
+        value, expected = _EXPLICIT[name]
+        cfg = apply_parameter(_CHIRPED, name, value)
+        assert cfg == expected
+        assert cfg.pulses.tau == 2.0
+
 
 class TestSweepSpecValidation:
     def test_empty_grid(self):
@@ -60,6 +109,18 @@ class TestSweepSpecValidation:
         assert spec.grid == ("none", "linear", "tanh")
         with pytest.raises(ValueError, match="chirp kinds"):
             SweepSpec("chirp_kind", ("linear", "quadratic"), base_config())
+
+    @pytest.mark.parametrize(
+        "parameter, grid, base, fragment",
+        [
+            ("ratio_omega", (1.0, 0.5, -0.5), base_config(), "peak rates must be non-negative"),
+            ("chi", (-1.0, 1.0), base_config(), "cannot sweep chi"),
+            ("chi_ratio", (-1.0, 1.0), base_config(), "cannot sweep chi_ratio"),
+        ],
+    )
+    def test_grid_ends_build_valid_configs(self, parameter, grid, base, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            SweepSpec(parameter, grid, base)
 
 
 class TestRunSweep:

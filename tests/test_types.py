@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from qubitrot import (
     orthogonal_state,
     qubit_from_amplitudes,
 )
+from qubitrot.types import CONFIG_KEYS, config_to_dict, with_keys
 
 
 class TestInitFromCw:
@@ -123,6 +125,12 @@ class TestInvariantRejection:
         with pytest.raises(ValueError):
             SimulationConfig(pulses=pulses, samples=1)
 
+    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_config_tolerances_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SimulationConfig(pulses=PulsePair(1.0, 1.0), **{name: value})
+
 
 class TestPulsePairCenters:
     def test_centers_follow_origin(self):
@@ -134,3 +142,39 @@ class TestPulsePairCenters:
         assert PulsePair(1.0, 1.0).unchirped
         assert PulsePair(1.0, 1.0, chirp1=ChirpProfile("linear", 0.0)).unchirped
         assert not PulsePair(1.0, 1.0, chirp1=ChirpProfile("linear", 0.5)).unchirped
+
+
+class TestWithKeys:
+    BASE = SimulationConfig(pulses=PulsePair(15.0, 15.0, tau=2.0))
+
+    def test_keeps_fields_no_key_names(self):
+        cfg = with_keys(self.BASE, {"omega01_tau": 3.0, "chi1": 0.5, "chirp1_kind": "linear"})
+        assert cfg.pulses == replace(
+            self.BASE.pulses, omega01=3.0, chirp1=ChirpProfile("linear", 0.5)
+        )
+        assert cfg.pulses.tau == 2.0
+
+    def test_alpha_and_beta_set_together(self):
+        cfg = with_keys(self.BASE, {"alpha": 0.6, "beta": 0.8})
+        assert cfg.initial == InitialQubit(0.6, 0.8, 0.0)
+        with pytest.raises(ValueError, match="alpha\\^2 \\+ beta\\^2"):
+            with_keys(self.BASE, {"alpha": 0.6})
+
+    def test_unknown_key(self):
+        with pytest.raises(KeyError):
+            with_keys(self.BASE, {"tau": 1.0})
+
+    def test_config_to_dict_follows_the_table(self):
+        cfg = SimulationConfig(
+            pulses=PulsePair(
+                2.0, 3.0, T=1.5, delta=0.7, origin=0.25,
+                chirp1=ChirpProfile("linear", 0.5), chirp2=ChirpProfile("tanh", -0.5),
+            ),
+            detunings=DetuningSpec(45.0, 40.0),
+            initial=InitialQubit(0.6, 0.8, 0.3),
+            t_start=-6.0, t_end=9.0, rel_tol=1e-9, abs_tol=1e-11, samples=77,
+        )  # fmt: skip
+        flat = config_to_dict(cfg)
+        assert list(flat) == list(CONFIG_KEYS)
+        assert flat["chi2"] == -0.5 and flat["chirp1_kind"] == "linear"
+        assert with_keys(self.BASE, flat) == replace(cfg, pulses=replace(cfg.pulses, tau=2.0))
