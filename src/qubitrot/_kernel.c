@@ -9,10 +9,18 @@
  * floating-point contraction and builtins off (see _kernel.py), the kernel
  * then takes the same steps and gives the same bits as the Python stepper.
  * Keep that operation order when editing, in both files.
+ *
+ * The file also holds the CSV writer of cli._table_lines, qr_format_rows,
+ * whose every cell is byte-identical to Python's "%.17g" % x. It uses only
+ * integer arithmetic and snprintf, so the complex operation order above, and
+ * its caveat that Python 3.14 stops promoting a float in mixed complex
+ * arithmetic, do not apply to it.
  */
 
 #include <math.h>
 #include <stdint.h>
+#include <stdio.h>
+#include <string.h>
 
 typedef struct {
     double re, im;
@@ -270,4 +278,164 @@ int qr_dopri45(const problem *p, int64_t n, double t, const double *y0, const do
         }
     }
     return QR_OK;
+}
+
+/* ---- "%.17g" formatting of float64 tables ---- */
+
+/* The longest "%.17g" of a double, -2.2250738585072014e-308, is 24 bytes;
+ * a cell needs one more for snprintf's terminator or the separator. */
+enum { CELL = 25 };
+
+#if defined(__SIZEOF_INT128__)
+typedef unsigned __int128 u128;
+
+static const uint64_t POW10[18] = {
+    1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL, 10000000ULL,
+    100000000ULL, 1000000000ULL, 10000000000ULL, 100000000000ULL, 1000000000000ULL,
+    10000000000000ULL, 100000000000000ULL, 1000000000000000ULL, 10000000000000000ULL,
+    100000000000000000ULL,
+};
+
+static const uint64_t POW5[28] = {
+    1ULL, 5ULL, 25ULL, 125ULL, 625ULL, 3125ULL, 15625ULL, 78125ULL, 390625ULL,
+    1953125ULL, 9765625ULL, 48828125ULL, 244140625ULL, 1220703125ULL, 6103515625ULL,
+    30517578125ULL, 152587890625ULL, 762939453125ULL, 3814697265625ULL,
+    19073486328125ULL, 95367431640625ULL, 476837158203125ULL, 2384185791015625ULL,
+    11920928955078125ULL, 59604644775390625ULL, 298023223876953125ULL,
+    1490116119384765625ULL, 7450580596923828125ULL,
+};
+
+/* floor(m 2^e 10^p) for -3 <= p <= 31, with *cmp the sign of the dropped
+ * fraction minus one half. Callers keep the result below 10^18. */
+static uint64_t scaled(uint64_t m, int e, int p, int *cmp)
+{
+    u128 n, rem, half;
+    if (p >= 0) {
+        /* m 10^p 2^e = (m 5^p) 2^(e+p); m 5^p < 2^53 5^31 < 2^126 */
+        n = (u128)m * POW5[p < 27 ? p : 27];
+        if (p > 27)
+            n *= POW5[p - 27];
+        const int s = e + p;
+        if (s >= 0) {
+            *cmp = -1;
+            return (uint64_t)(n << s);
+        }
+        rem = n & (((u128)1 << -s) - 1);
+        half = (u128)1 << (-s - 1);
+        n >>= -s;
+    } else {
+        /* here x >= 10^17 > 2^53, so e >= 0 and x is the integer m 2^e */
+        const u128 d = POW10[-p];
+        n = (u128)m << e;
+        rem = 2 * (n % d);
+        half = d;
+        n /= d;
+    }
+    *cmp = (rem > half) - (rem < half);
+    return (uint64_t)n;
+}
+
+/* Writes "%.17g" of a normal x with 2^-49 <= |x| < 2^63 to s and returns
+ * its length; returns 0, writing nothing, for any other x. The 17 digits are
+ * x 10^(16-X) rounded half to even, where X = floor(log10 |x|) is decided
+ * from the unrounded value, and are laid out by the C99 %g rules. */
+static int format_exact(double x, char *s)
+{
+    const union {
+        double x;
+        uint64_t bits;
+    } u = {x};
+    const uint64_t bits = u.bits;
+    const int k = (int)(bits >> 52 & 0x7ff) - 1023; /* floor(log2 |x|) */
+    if (k < -49 || k > 62)
+        return 0;
+    const uint64_t m = (bits & ((1ULL << 52) - 1)) | 1ULL << 52;
+    const int e = k - 52;
+    int X = (k * 78913) >> 18; /* floor(k log10 2), which is X or X - 1 */
+    int cmp;
+    uint64_t f = scaled(m, e, 16 - X, &cmp);
+    if (f >= POW10[17]) {
+        X++;
+        f = scaled(m, e, 16 - X, &cmp);
+    }
+    if (cmp > 0 || (cmp == 0 && (f & 1)))
+        f++;
+    if (f == POW10[17]) { /* rounded up to the next power of ten */
+        f = POW10[16];
+        X++;
+    }
+
+    char d[17];
+    for (int i = 16; i >= 0; i--) {
+        d[i] = (char)('0' + f % 10);
+        f /= 10;
+    }
+    int last = 16; /* the last digit kept once trailing zeros are stripped */
+    while (d[last] == '0')
+        last--;
+
+    char *o = s;
+    if (bits >> 63)
+        *o++ = '-';
+    if (X >= 17 || X < -4) {
+        *o++ = d[0];
+        if (last > 0)
+            *o++ = '.';
+        for (int i = 1; i <= last; i++)
+            *o++ = d[i];
+        /* |X| <= 18 in this range: two exponent digits */
+        *o++ = 'e';
+        *o++ = X < 0 ? '-' : '+';
+        const int a = X < 0 ? -X : X;
+        *o++ = (char)('0' + a / 10);
+        *o++ = (char)('0' + a % 10);
+    } else if (X >= 0) {
+        for (int i = 0; i <= X; i++)
+            *o++ = d[i];
+        if (last > X)
+            *o++ = '.';
+        for (int i = X + 1; i <= last; i++)
+            *o++ = d[i];
+    } else {
+        *o++ = '0';
+        *o++ = '.';
+        for (int i = 1; i < -X; i++)
+            *o++ = '0';
+        for (int i = 0; i <= last; i++)
+            *o++ = d[i];
+    }
+    return (int)(o - s);
+}
+#endif
+
+/* "%.17g" of x as CPython writes it, into s with room for CELL bytes */
+static int format_g17(double x, char *s)
+{
+#if defined(__SIZEOF_INT128__)
+    const int n = format_exact(x, s);
+    if (n > 0)
+        return n;
+#endif
+    if (isnan(x)) { /* glibc writes -nan for a NaN with the sign bit set */
+        memcpy(s, "nan", 3);
+        return 3;
+    }
+    return snprintf(s, CELL, "%.17g", x);
+}
+
+/* Writes the row-major nrows x ncols table rows as CSV: each cell as
+ * format_g17, cells joined by ',' and every row ended by '\n'. Returns the
+ * bytes written, or -1 if cap, the size of buf, is less than CELL bytes per
+ * cell. */
+int64_t qr_format_rows(const double *rows, int64_t nrows, int64_t ncols, char *buf, int64_t cap)
+{
+    int64_t pos = 0;
+    for (int64_t r = 0; r < nrows; r++)
+        for (int64_t c = 0; c < ncols; c++) {
+            if (cap - pos < CELL)
+                return -1;
+            pos += format_g17(rows[r * ncols + c], buf + pos);
+            buf[pos++] = c + 1 < ncols ? ',' : '\n';
+        }
+    return pos;
 }

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -170,22 +171,34 @@ def _table_lines(header: str, columns: list) -> list[str]:
     """``header`` plus one CSV line per row of equal-length ``columns``.
 
     A column of str is written as it is; any other column is formatted as
-    float64 with "%.17g", which reads back to the same value.
+    float64 with "%.17g", which reads back to the same value. A table of
+    numeric columns only is formatted by the compiled kernel, to the same
+    bytes; the loop below is its reference and its fallback.
     """
     text = [isinstance(col[0], str) for col in columns]
+    if not any(text):
+        from . import _kernel  # built on first use, as for the integrator
+
+        if _kernel.library() is not None:
+            return [header, *_kernel.format_rows(np.column_stack(columns))]
     row = ",".join("%s" if t else "%.17g" for t in text)
     cells = [col if t else np.asarray(col, dtype=float).tolist() for col, t in zip(columns, text)]
     return [header] + [row % r for r in zip(*cells)]
 
 
 def _write_text(path: Path, lines: list[str]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    """Writes ``lines``, each ended by a newline; raises ConfigError naming
+    ``--out`` if ``path`` cannot be written."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        # the newline goes into the join: "+" would copy the whole text again
+        path.write_text("\n".join([*lines, ""]))
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot write {path}: {exc}") from exc
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write_text(path, [json.dumps(doc, sort_keys=True, indent=2)])
 
 
 def _manifest_path(out: Path) -> Path:
@@ -596,7 +609,9 @@ def _add_common(sub, *, samples=True):
         sub.add_argument("--samples", type=int, default=None, help="override sample count")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="qubitrot",
         description="Three-level Lambda-system qubit rotation simulator",

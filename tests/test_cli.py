@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qubitrot
-from qubitrot import sweeps
+from qubitrot import _kernel, sweeps
 from qubitrot.analysis import adiabatic_populations
 from qubitrot.cli import _table_lines, build_config, config_to_dict, load_config_file, main
 from qubitrot.dynamics import envelope, integrate
@@ -454,6 +454,61 @@ def test_exit_code_of_nan_step_inputs(tmp_path, argv, text, code, fragment):
     )  # fmt: skip
     assert done.returncode == code, done.stderr
     assert fragment in done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        pytest.param(SIMULATE, FAST_BASE, id="simulate"),
+        pytest.param(SWEEP, FAST_BASE + "sweep_parameter = delta_tau\nsweep_grid = 30\n", id="sweep"),
+        pytest.param(["twolevel", "--config", "{input}"], FAST_BASE, id="twolevel"),
+        pytest.param(["stirap", "--chop", "0.5"], None, id="stirap"),
+        pytest.param(SOLVE, _problem(), id="solve"),
+    ],
+)
+def test_unwritable_out_exits_2(tmp_path, capsys, argv, text):
+    # the parent of --out is a regular file, so no directory can be made there
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    path = _write(tmp_path, "input", text) if text is not None else None
+    argv = [path if a == "{input}" else a for a in argv] + ["--out", str(blocker / "x.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--out" in err and str(blocker / "x") in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, text, suffixes",
+    [
+        # alpha = 1 leaves |f> empty at the start, so phi_signed holds NaN
+        pytest.param(SIMULATE + ["--adiabatic"], FAST_BASE, [""], id="simulate-adiabatic"),
+        pytest.param(
+            SIMULATE,
+            FAST_BASE + "chirp1_kind = linear\nchi1 = 0.7\nchirp2_kind = linear\nchi2 = 0.7\n",
+            [""],
+            id="simulate-linear-chirp",
+        ),
+        pytest.param(["twolevel", "--config", "{input}"], FAST_BASE, [""], id="twolevel"),
+        pytest.param(
+            ["stirap", "--alpha", "0.6", "--chop", "0.4"], None, ["", ".envelopes"], id="stirap-chop"
+        ),
+    ],
+)
+def test_csv_bytes_same_without_the_kernel(kernel, tmp_path, monkeypatch, argv, text, suffixes):
+    """The compiled table formatter and integrator against the Python ones."""
+    path = _write(tmp_path, "input", text) if text is not None else None
+    argv = [path if a == "{input}" else a for a in argv]
+    written = []
+    for name in ("compiled", "python"):
+        if name == "python":
+            monkeypatch.setattr(_kernel, "_library", None)
+        out = tmp_path / f"{name}.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        written.append([out.with_suffix(f"{s}.csv").read_bytes() for s in suffixes])
+    assert written[0] == written[1]
+    if "--adiabatic" in argv:
+        assert b",nan," in written[0][0]
 
 
 def test_manifest_reports_solver_stats(tmp_path):
