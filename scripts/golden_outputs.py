@@ -4,14 +4,15 @@
     python scripts/golden_outputs.py write DIR
     python scripts/golden_outputs.py diff A B
 
-``write`` runs a fixed list of ``simulate``, ``sweep``, ``twolevel`` and
-``stirap`` commands in-process and leaves every CSV and manifest in DIR
-(the config files it feeds them go to DIR/inputs). Run it against two
-versions of the package (``PYTHONPATH=<src>``) and ``diff`` the two
-directories: per file it prints whether the bytes are identical or the
-largest numeric difference and where it sits. Manifests are compared
-without ``wall_time_s`` and output paths, which differ from run to run.
-``diff`` exits 0 when every file matches and 1 otherwise.
+``write`` runs a fixed list of ``simulate``, ``sweep``, ``twolevel``,
+``stirap`` and ``solve`` commands in-process and leaves every CSV, manifest
+and solution in DIR (the config files and problem documents it feeds them go
+to DIR/inputs). Run it against two versions of the package
+(``PYTHONPATH=<src>``) and ``diff`` the two directories: per file it prints
+whether the bytes are identical or the largest numeric difference and where
+it sits. Manifests are compared without ``wall_time_s`` and output paths,
+which differ from run to run. ``diff`` exits 0 when every file matches and 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -61,6 +62,40 @@ CONFIGS = {
     "sweep_pulse_phase.cfg": "sweep_parameter = delta_phase\nsweep_grid = 0, 0.7, 1.4\n",
 }
 
+# problem documents for solve
+PROBLEMS = {
+    # the README's, on a coarser grid
+    "solve_readme.json": {
+        "target": {"alpha": 0.6, "beta": 0.8, "phi": 0.5},
+        "free_parameters": {"delta_tau": [30, 200]},
+        "leak_weight": 1.0,
+        "base": {"alpha": 0.3, "delta_tau": 45},
+        "grid_points": 5,
+    },
+    "solve_box2.json": {
+        "target": {"alpha": 0.6, "beta": 0.8, "phi": 0.5},
+        "free_parameters": {"delta_tau": [30, 90], "ratio_omega": [0.6, 1.4]},
+        "base": {"alpha": 1.0, "phi": 0.0},
+        "grid_points": 3,
+    },
+    # delta_phase is pinned by its collapsed bound
+    "solve_box3.json": {
+        "target": {"alpha": 0.8, "beta": 0.6, "phi": 1.0},
+        "free_parameters": {
+            "delta_tau": [40, 80], "ratio_omega": [0.8, 1.2], "delta_phase": [0.5, 0.5],
+        },
+        "base": {"alpha": 1.0, "phi": 0.0},
+        "grid_points": 3,
+    },
+    # the best grid point is the upper bound, so the simplex starts on it
+    "solve_upper.json": {
+        "target": {"alpha": 0.6, "beta": 0.8, "phi": 0.5},
+        "free_parameters": {"ratio_omega": [0.5, 0.76]},
+        "base": {"alpha": 1.0, "phi": 0.0},
+        "grid_points": 3,
+    },
+}
+
 
 def commands(inputs: Path) -> dict[str, list[str]]:
     """Output stem -> argv (without ``--out``), in the order they run."""
@@ -88,6 +123,8 @@ def commands(inputs: Path) -> dict[str, list[str]]:
     cmds["stirap_flags"] = [
         "stirap", "--alpha", "0.6", "--beta", "0.8", "--separation", "1.5", "--scale", "12",
     ]
+    for name in PROBLEMS:
+        cmds[name.removesuffix(".json")] = ["solve", "--config", str(inputs / name)]
     return cmds
 
 
@@ -98,6 +135,8 @@ def write(outdir: Path) -> int:
     inputs.mkdir(parents=True, exist_ok=True)
     for name, text in CONFIGS.items():
         (inputs / name).write_text(text)
+    for name, doc in PROBLEMS.items():
+        (inputs / name).write_text(json.dumps(doc))
     cmds = commands(inputs)
     # a run read back from the manifest of an earlier one
     cmds["simulate_rerun"] = [
@@ -105,7 +144,8 @@ def write(outdir: Path) -> int:
     ]
     for stem, argv in cmds.items():
         with contextlib.redirect_stdout(io.StringIO()):
-            code = main([*argv, "--out", str(outdir / f"{stem}.csv")])
+            suffix = ".json" if argv[0] == "solve" else ".csv"
+            code = main([*argv, "--out", str(outdir / f"{stem}{suffix}")])
         if code != 0:
             print(f"{stem}: exit code {code}", file=sys.stderr)
             return code

@@ -411,6 +411,13 @@ static int format_exact(double x, char *s)
 /* "%.17g" of x as CPython writes it, into s with room for CELL bytes */
 static int format_g17(double x, char *s)
 {
+    if (x == 0.0) { /* "%.17g" writes 0 or -0 */
+        int n = 0;
+        if (signbit(x))
+            s[n++] = '-';
+        s[n++] = '0';
+        return n;
+    }
 #if defined(__SIZEOF_INT128__)
     const int n = format_exact(x, s);
     if (n > 0)

@@ -186,13 +186,19 @@ def _table_lines(header: str, columns: list) -> list[str]:
     return [header] + [row % r for r in zip(*cells)]
 
 
+# lines per write: under 100 kB of a 15-column table, so that the writer
+# never holds a copy of the whole text
+_WRITE_LINES = 256
+
+
 def _write_text(path: Path, lines: list[str]) -> None:
-    """Writes ``lines``, each ended by a newline; raises ConfigError naming
-    ``--out`` if ``path`` cannot be written."""
+    """Writes ``lines`` as UTF-8, each ended by a newline; raises ConfigError
+    naming ``--out`` if ``path`` cannot be written."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        # the newline goes into the join: "+" would copy the whole text again
-        path.write_text("\n".join([*lines, ""]))
+        with path.open("wb") as f:
+            for start in range(0, len(lines), _WRITE_LINES):
+                f.write("\n".join([*lines[start : start + _WRITE_LINES], ""]).encode())
     except OSError as exc:
         raise ConfigError(f"--out: cannot write {path}: {exc}") from exc
 

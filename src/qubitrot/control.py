@@ -4,7 +4,9 @@ The objective is fidelity of the long-time ground-plane state against a
 target (g, f) pair, minus a penalty on residual excited-state population.
 The landscape is an oscillatory ODE functional with no analytic gradient, so
 the search is derivative-free: a deterministic coarse grid scan over the box
-bounds followed by simplex refinement from the best grid point.
+bounds followed by simplex refinement from the best grid point. The simplex
+is an in-package port of scipy's bounded Nelder-Mead, which gives the same
+points and bits without scipy's import time and memory.
 
 Scan and refinement evaluations may run at a loosened relative tolerance for
 speed; the returned best point is always re-evaluated at the base
@@ -33,6 +35,10 @@ from .types import SimulationConfig
 log = logging.getLogger(__name__)
 
 CONTROL_PARAMETERS = ("delta_tau", "ratio_omega", "delta_phase", "chi", "T_over_tau")
+
+# the simplex refinement: scipy's default initial simplex and solve's options
+_NONZDELT, _ZDELT = 0.05, 0.00025
+_XATOL, _FATOL, _MAXITER = 1e-4, 1e-12, 400
 
 
 @dataclass(frozen=True)
@@ -116,6 +122,87 @@ def _grid_eval(args):
         return None, str(exc)
 
 
+def _nelder_mead(func, x0: np.ndarray, bounds) -> tuple[np.ndarray, float]:
+    """Minimize ``func`` from ``x0`` with a simplex kept inside ``bounds``.
+
+    A port of scipy 1.17.1's ``_minimize_neldermead`` (Nelder & Mead 1965,
+    with the non-adaptive coefficients of Gao & Han 2012) for the options
+    ``solve`` uses: ``bounds``, ``xatol = 1e-4``, ``fatol = 1e-12``,
+    ``maxiter = 400`` and the default initial simplex. Every vertex is
+    clipped to ``bounds``, a sequence of (lower, upper) pairs. The arithmetic,
+    the sorting and the order of the calls to ``func``, each on a copy of the
+    point, are scipy's, so both evaluate the same points and return the same
+    (x, fun) bits.
+    """
+    lower, upper = (np.array(b, dtype=float) for b in zip(*bounds))
+    x0 = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    n = len(x0)
+
+    def call(x: np.ndarray) -> float:
+        return func(x.copy())
+
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = x0.copy()
+        y[k] = (1 + _NONZDELT) * y[k] if y[k] != 0 else _ZDELT
+        sim[k + 1] = y
+    # a start near the upper bound puts a vertex above it: reflect it into
+    # the box rather than clip the simplex flat
+    sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
+    fsim = np.array([call(v) for v in sim], dtype=float)
+
+    def sort():
+        nonlocal sim, fsim
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    sort()
+    sort()  # scipy sorts twice before the first step; the second may reorder ties
+    iterations = 1
+    while iterations < _MAXITER:
+        # fsim is sorted, so fsim[-1] - fsim[0] is scipy's max |fsim[0] - fsim[1:]|;
+        # in Python floats, inf - inf gives NaN without numpy's warning
+        if (
+            np.max(np.abs(sim[1:] - sim[0])) <= _XATOL
+            and float(fsim[-1]) - float(fsim[0]) <= _FATOL
+        ):
+            break
+        # rho = 1, chi = 2, psi = sigma = 0.5
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = np.clip(2 * xbar - sim[-1], lower, upper)
+        fxr = call(xr)
+        shrink = False
+        if fxr < fsim[0]:
+            xe = np.clip(3 * xbar - 2 * sim[-1], lower, upper)
+            fxe = call(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:
+            xc = np.clip(1.5 * xbar - 0.5 * sim[-1], lower, upper)
+            fxc = call(xc)
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                shrink = True
+        else:
+            xcc = np.clip(0.5 * xbar + 0.5 * sim[-1], lower, upper)
+            fxcc = call(xcc)
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                shrink = True
+        if shrink:
+            for j in range(1, n + 1):
+                sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), lower, upper)
+                fsim[j] = call(sim[j])
+        iterations += 1
+        sort()
+    return sim[0], float(np.min(fsim))
+
+
 def solve(
     problem: ControlProblem,
     *,
@@ -163,10 +250,6 @@ def solve(
 
     free_names = [n for n, (lo, hi) in zip(names, bounds) if lo != hi]
     if free_names:
-        # imported here: scipy.optimize is most of the package's import time
-        # and memory, and only this refinement uses it
-        from scipy.optimize import minimize
-
         fixed = {n: best_values[n] for n in names if n not in free_names}
         counter = [evaluations]
 
@@ -180,17 +263,15 @@ def solve(
                 log.warning("refinement point %r failed: %s", values, exc)
                 return math.inf
 
-        res = minimize(
+        x, fun = _nelder_mead(
             neg_objective,
-            x0=np.array([best_values[n] for n in free_names]),
-            method="Nelder-Mead",
-            bounds=[problem.free_parameters[n] for n in free_names],
-            options={"xatol": 1e-4, "fatol": 1e-12, "maxiter": 400},
+            np.array([best_values[n] for n in free_names]),
+            [problem.free_parameters[n] for n in free_names],
         )
         evaluations = counter[0]
-        if math.isfinite(res.fun) and -res.fun >= best_obj:
+        if math.isfinite(fun) and -fun >= best_obj:
             best_values = dict(fixed)
-            best_values.update(zip(free_names, (float(v) for v in res.x)))
+            best_values.update(zip(free_names, (float(v) for v in x)))
 
     # report at the base tolerances so a forward run reproduces the numbers
     fid, p_e, obj = _evaluate(problem, best_values, rel_tol=0.0)

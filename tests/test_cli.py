@@ -555,7 +555,7 @@ def test_manifest_reports_solver_stats(tmp_path):
 
 
 def test_cli_import_loads_neither_scipy_nor_the_kernel():
-    # scipy.optimize is imported by control.solve and the kernel on first use
+    # the package never imports scipy, and builds the kernel on first use
     probe = (
         "import sys, qubitrot.cli; qubitrot.cli.build_parser(); "
         "print(sorted(m for m in ('scipy', 'qubitrot._kernel') if m in sys.modules))"
@@ -566,6 +566,24 @@ def test_cli_import_loads_neither_scipy_nor_the_kernel():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_solve_loads_no_scipy_module(tmp_path):
+    problem = _write(tmp_path, "problem.json", _problem())
+    out = tmp_path / "solution.json"
+    probe = (
+        "import sys\n"
+        "from qubitrot.cli import main\n"
+        f"assert main(['solve', '--config', {problem!r}, '--out', {str(out)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(qubitrot.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert json.loads(out.read_text())["result"]["evaluations"] > 3
 
 
 def test_tolerance_below_100_eps_runs_as_requested(tmp_path):

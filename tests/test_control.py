@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from qubitrot import control
 from qubitrot import (
     ControlProblem,
     SolverError,
@@ -137,3 +139,123 @@ class TestSolve:
         result = solve(problem, grid_points=2)
         assert result.grid_failures
         assert result.fidelity > 0.9
+
+
+def _scipy_minimize(func, x0, bounds):
+    """scipy's bounded Nelder-Mead with the options solve uses."""
+    from scipy.optimize import minimize
+
+    options = {"xatol": 1e-4, "fatol": 1e-12, "maxiter": 400}
+    return minimize(func, x0=x0, method="Nelder-Mead", bounds=bounds, options=options)
+
+
+def _scipy_nelder_mead(func, x0, bounds):
+    res = _scipy_minimize(func, x0, bounds)
+    return res.x, res.fun
+
+
+def _recorded(minimizer, func, x0, bounds):
+    """(bytes of every evaluated point, x, fun) of one minimizer run."""
+    points = []
+
+    def recording(x):
+        points.append(x.tobytes())
+        return func(x)
+
+    x, fun = minimizer(recording, np.array(x0, dtype=float), bounds)
+    return points, x, fun
+
+
+def _assert_same_run(func, x0, bounds):
+    ours = _recorded(control._nelder_mead, func, x0, bounds)
+    # scipy computes inf - inf once every vertex is infinite, and numpy warns;
+    # the port runs outside this block, so it must not
+    with np.errstate(invalid="ignore"):
+        theirs = _recorded(_scipy_nelder_mead, func, x0, bounds)
+    assert ours[0] == theirs[0]
+    assert ours[1].tobytes() == theirs[1].tobytes()
+    assert np.float64(ours[2]).tobytes() == np.float64(theirs[2]).tobytes()
+    return len(ours[0])
+
+
+def _noise(x) -> float:
+    """A deterministic value in [0, 1) for every point: no simplex settles."""
+    digest = hashlib.sha256(x.tobytes()).digest()
+    return int.from_bytes(digest[:8], "little") / 2**64
+
+
+class TestNelderMeadPort:
+    """control._nelder_mead evaluates the points scipy's bounded Nelder-Mead
+    evaluates, in the same order, and returns the same bits."""
+
+    def test_solve_objective_reachable_target(self, monkeypatch):
+        base = _fast_base()
+        truth = apply_parameter(apply_parameter(base, "delta_tau", 35.0), "ratio_omega", 1.2)
+        problem = ControlProblem(
+            _forward_target(truth), {"delta_tau": (25.0, 45.0), "ratio_omega": (0.8, 1.6)}, base
+        )
+        runs = []
+        for minimizer in (control._nelder_mead, _scipy_nelder_mead):
+            points = []
+
+            def recorder(func, x0, bounds, minimizer=minimizer, points=points):
+                recorded, x, fun = _recorded(minimizer, func, x0, bounds)
+                points += recorded
+                return x, fun
+
+            monkeypatch.setattr(control, "_nelder_mead", recorder)
+            runs.append((points, solve(problem, grid_points=3)))
+        (ours, result), (theirs, reference) = runs
+        assert ours == theirs and len(ours) > 10
+        assert result == reference
+        assert result.fidelity >= 0.999
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seeded_quadratics(self, dim, seed):
+        rng = np.random.default_rng([dim, seed])
+        a = rng.normal(size=(dim, dim))
+        hessian = a @ a.T + 0.1 * np.eye(dim)
+        centre = rng.uniform(-1.0, 2.0, dim)
+        lower = rng.uniform(-2.0, 0.0, dim)
+        upper = lower + rng.uniform(0.5, 3.0, dim)
+
+        def quadratic(x):
+            return float((x - centre) @ hessian @ (x - centre))
+
+        _assert_same_run(quadratic, rng.uniform(lower, upper), list(zip(lower, upper)))
+
+    def test_objective_infinite_on_part_of_the_box(self):
+        def walled(x):
+            if x[0] > 0.5:
+                return math.inf
+            return float((x[0] - 0.45) ** 2 + (x[1] - 0.2) ** 2)
+
+        assert _assert_same_run(walled, [0.1, 0.1], [(0.0, 1.0), (0.0, 1.0)]) > 20
+
+    def test_objective_may_overwrite_its_argument(self):
+        def overwriting(x):
+            value = float(np.sum((x - 0.3) ** 2))
+            x[:] = math.nan  # harmless: each call gets a copy of the point
+            return value
+
+        _assert_same_run(overwriting, [0.9, 0.1], [(0.0, 1.0)] * 2)
+
+    def test_objective_infinite_everywhere(self):
+        assert _assert_same_run(lambda x: math.inf, [0.5, 0.5], [(0.0, 1.0)] * 2) > 400
+
+    @pytest.mark.parametrize(
+        "x0, bounds, centre",
+        [([1.0], [(0.0, 1.0)], [2.0]), ([1.0, 2.0], [(0.0, 1.0), (-1.0, 2.0)], [0.3, 0.7])],
+    )
+    def test_start_on_the_upper_bound(self, x0, bounds, centre):
+        def quadratic(x):
+            return float(np.sum((x - centre) ** 2))
+
+        _assert_same_run(quadratic, x0, bounds)
+
+    def test_stops_at_maxiter(self):
+        # a noise objective never meets fatol, so both stop at maxiter
+        evaluations = _assert_same_run(_noise, [0.5] * 3, [(0.0, 1.0)] * 3)
+        res = _scipy_minimize(_noise, np.full(3, 0.5), [(0.0, 1.0)] * 3)
+        assert res.nit == 400 and res.nfev == evaluations

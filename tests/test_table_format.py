@@ -101,6 +101,14 @@ class TestFormatRows:
             rows = np.random.default_rng(3).standard_normal(shape) * 1e-3
             assert _kernel.format_rows(rows) == [",".join(map(_python, r)) for r in rows.tolist()]
 
+    def test_zeros_of_both_signs(self, kernel):
+        # zeros skip snprintf; an all-zero table spanning several buffers
+        signs = np.random.default_rng(4).random((9001, 15)) < 0.5
+        rows = np.where(signs, 0.0, -0.0)
+        lines = _kernel.format_rows(rows)
+        assert lines == [",".join(map(_python, r)) for r in rows.tolist()]
+        assert {cell for line in lines for cell in line.split(",")} == {"0", "-0"}
+
 
 def test_table_lines_without_the_kernel(monkeypatch):
     columns = [np.array([0.1, math.nan, -0.0, 5e-324]), [1.0, -math.nan, 1e-12, 123456789.5]]
