@@ -125,6 +125,9 @@ def commands(inputs: Path) -> dict[str, list[str]]:
     ]
     for name in PROBLEMS:
         cmds[name.removesuffix(".json")] = ["solve", "--config", str(inputs / name)]
+    # on two threads; each must equal its serial counterpart
+    for stem in ("sweep_fig11_5", "solve_box2"):
+        cmds[f"{stem}_workers2"] = [*cmds[stem], "--workers", "2"]
     return cmds
 
 

@@ -21,6 +21,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -130,17 +131,23 @@ def load(path: Path) -> ctypes.CDLL:
 
 _UNSET = object()
 _library = _UNSET
+_build_lock = threading.Lock()
 
 
 def library() -> ctypes.CDLL | None:
-    """The loaded kernel, or None once building or loading it failed in this process."""
+    """The loaded kernel, or None once building or loading it failed in this process.
+
+    Thread-safe: threads that ask at once wait for one build and load.
+    """
     global _library
     if _library is _UNSET:
-        try:
-            _library = load(compile_library())
-        except (OSError, subprocess.SubprocessError) as exc:
-            log.debug("compiled kernel unavailable, using the Python stepper: %s", exc)
-            _library = None
+        with _build_lock:
+            if _library is _UNSET:
+                try:
+                    _library = load(compile_library())
+                except (OSError, subprocess.SubprocessError) as exc:
+                    log.debug("compiled kernel unavailable, using the Python stepper: %s", exc)
+                    _library = None
     return _library
 
 

@@ -55,6 +55,9 @@ WORKERS_ENV = "QUBITROT_WORKERS"
 # the keys of a sweep file that _load_sweep_spec reads besides the config
 _SWEEP_KEYS = ("sweep_parameter", "sweep_grid", "sweep_start", "sweep_stop", "sweep_points")
 
+# the top-level keys of a solve problem document
+_PROBLEM_KEYS = ("target", "free_parameters", "base", "leak_weight", "grid_points", "eval_rel_tol")
+
 
 def _parse_keyvalue_text(text: str, path: str) -> dict[str, str]:
     entries: dict[str, str] = {}
@@ -285,13 +288,19 @@ def sweep_json_doc(result: sweeps.SweepResult) -> dict:
 
 
 def _resolve_workers(requested: int) -> int:
+    """``--workers``, capped by the environment variable ``QUBITROT_WORKERS``."""
+    if requested < 1:
+        raise ConfigError(f"--workers: must be at least 1, got {requested}")
     cap = os.environ.get(WORKERS_ENV)
-    if cap is not None:
-        try:
-            return max(1, min(requested, int(cap)))
-        except ValueError as exc:
-            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {cap!r}") from exc
-    return max(1, requested)
+    if cap is None:
+        return requested
+    try:
+        limit = int(cap)
+    except ValueError as exc:
+        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {cap!r}") from exc
+    if limit < 1:
+        raise ConfigError(f"{WORKERS_ENV} must be at least 1, got {limit}")
+    return min(requested, limit)
 
 
 def _check_preset(name: str) -> None:
@@ -399,8 +408,9 @@ def _load_sweep_spec(args) -> sweeps.SweepSpec:
 
 
 def cmd_sweep(args) -> int:
+    workers = _resolve_workers(args.workers)
     spec = _load_sweep_spec(args)
-    result = sweeps.run_sweep(spec, workers=_resolve_workers(args.workers))
+    result = sweeps.run_sweep(spec, workers=workers)
     out = Path(args.out)
     _write_text(out, sweep_csv_lines(result))
     _write_json(_manifest_path(out), sweep_json_doc(result))
@@ -507,23 +517,28 @@ def _load_problem(path: str) -> tuple[control.ControlProblem, dict]:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: problem document must be a JSON object")
+    for key in doc:
+        if key not in _PROBLEM_KEYS:
+            raise ConfigError(f"unknown problem key {key!r}; valid: {', '.join(_PROBLEM_KEYS)}")
 
     target_doc = doc.get("target")
 
     def target_values(keys):
         return [_coerce(f"target.{k}", target_doc[k], float) for k in keys]
 
-    if isinstance(target_doc, dict) and {"alpha", "beta", "phi"} <= target_doc.keys():
+    keys = set(target_doc) if isinstance(target_doc, dict) else None
+    if keys == {"alpha", "beta", "phi"}:
         try:
             target = InitialQubit(*target_values(("alpha", "beta", "phi"))).amplitudes()
         except ValueError as exc:
             raise ConfigError(f"key 'target': {exc}") from exc
-    elif isinstance(target_doc, dict) and {"g_re", "g_im", "f_re", "f_im"} <= target_doc.keys():
+    elif keys == {"g_re", "g_im", "f_re", "f_im"}:
         g_re, g_im, f_re, f_im = target_values(("g_re", "g_im", "f_re", "f_im"))
         target = np.array([complex(g_re, g_im), complex(f_re, f_im)])
     else:
+        got = "" if keys is None else f", got keys {{{', '.join(sorted(keys))}}}"
         raise ConfigError(
-            "key 'target': expected {alpha, beta, phi} or {g_re, g_im, f_re, f_im}"
+            f"key 'target': expected keys {{alpha, beta, phi}} or {{g_re, g_im, f_re, f_im}}{got}"
         )
 
     free = doc.get("free_parameters")
@@ -565,10 +580,9 @@ def _load_problem(path: str) -> tuple[control.ControlProblem, dict]:
 def cmd_solve(args) -> int:
     if not args.config:
         raise ConfigError("--config with a JSON problem document is required")
+    workers = _resolve_workers(args.workers)
     problem, options = _load_problem(args.config)
-    result = control.solve(
-        problem, workers=_resolve_workers(args.workers), **options
-    )
+    result = control.solve(problem, workers=workers, **options)
     out = Path(args.out)
     _write_json(
         out,

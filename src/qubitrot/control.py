@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
@@ -29,7 +28,7 @@ import numpy as np
 from .analysis import fidelity
 from .dynamics import integrate
 from .errors import IntegrationError, SolverError
-from .sweeps import apply_parameter
+from .sweeps import apply_parameter, map_points
 from .types import SimulationConfig
 
 log = logging.getLogger(__name__)
@@ -114,8 +113,7 @@ def _evaluate(problem: ControlProblem, values: dict[str, float], rel_tol: float)
     return fid, p_e, fid - problem.leak_weight * p_e
 
 
-def _grid_eval(args):
-    problem, values, rel_tol = args
+def _grid_eval(problem: ControlProblem, values: dict[str, float], rel_tol: float):
     try:
         return _evaluate(problem, values, rel_tol), None
     except IntegrationError as exc:
@@ -225,12 +223,9 @@ def solve(
     ]
     candidates = [dict(zip(names, combo)) for combo in itertools.product(*axes)]
 
-    tasks = [(problem, values, eval_rel_tol) for values in candidates]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            outcomes = list(pool.map(_grid_eval, tasks))
-    else:
-        outcomes = [_grid_eval(t) for t in tasks]
+    outcomes = map_points(
+        lambda values: _grid_eval(problem, values, eval_rel_tol), candidates, workers
+    )
 
     best_values = None
     best_obj = -math.inf

@@ -3,8 +3,8 @@
 A sweep overrides a single named parameter of a base configuration, runs one
 integration per grid value, and reads populations and relative phase at the
 final sample (the presets all end at t = 15 tau). Grid points are
-independent; they can be evaluated by a process pool, and the assembled
-result is identical whatever the worker count.
+independent; :func:`map_points` can evaluate them on a thread pool, and the
+assembled result is identical whatever the worker count.
 
 ``figure_preset`` provides named parameter sets for the standard scenarios
 used throughout the test suite: detuning scans, pulse-delay and amplitude
@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,18 +157,46 @@ def _evaluate_point(spec: SweepSpec, value) -> SweepPoint:
     )
 
 
+def map_points(fn, items, workers: int) -> list:
+    """``[fn(x) for x in items]``, on up to ``workers`` threads.
+
+    The compiled kernel releases the GIL for a whole integration, so threads
+    run independent grid points on every core; the Python stepper holds it.
+    Never more threads than items or cores. The calling thread takes items
+    too, so that a profiler sampling it still sees the work, and with one
+    thread's worth of work it takes them all.
+    """
+    items = list(items)
+    threads = min(workers, len(items), os.cpu_count() or 1)
+    if threads <= 1:
+        return [fn(x) for x in items]
+    results = [None] * len(items)
+    indices = iter(range(len(items)))  # shared: each index goes to one thread
+
+    def take() -> None:
+        for i in indices:
+            results[i] = fn(items[i])
+
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        helpers = [pool.submit(take) for _ in range(threads - 1)]
+        try:
+            take()
+        finally:
+            for _ in indices:  # after an error, leave the helpers no new items
+                pass
+        for helper in helpers:
+            helper.result()
+    return results
+
+
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Evaluate every grid point, serially or on a bounded process pool.
+    """Evaluate every grid point, serially or on up to ``workers`` threads.
 
     Output order follows the grid order and the numbers are independent of
     ``workers``; per-point integration failures are recorded on the point
     instead of aborting the sweep.
     """
-    if workers <= 1 or len(spec.grid) <= 1:
-        points = [_evaluate_point(spec, v) for v in spec.grid]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(spec.grid))) as pool:
-            points = list(pool.map(_evaluate_point, [spec] * len(spec.grid), spec.grid))
+    points = map_points(lambda value: _evaluate_point(spec, value), spec.grid, workers)
     return SweepResult(spec=spec, points=points)
 
 

@@ -397,6 +397,46 @@ SWEEP = ["sweep", "--config", "{input}"]
         ),
         *(
             pytest.param(
+                [*env, *argv, "--workers", workers], text, 2, fragment,
+                id=f"{argv[0]}-{(env or [f'--workers={workers}'])[0]}",
+            )
+            for argv, text in [(["sweep", "--preset", "fig2"], None), (SOLVE, _problem())]
+            for env, workers, fragment in [
+                ([], "0", "--workers"),
+                ([], "-1", "--workers"),
+                (["QUBITROT_WORKERS=0"], "2", "QUBITROT_WORKERS"),
+                (["QUBITROT_WORKERS=-3"], "1", "QUBITROT_WORKERS"),
+            ]
+        ),
+        *(
+            pytest.param(
+                SOLVE, _problem(**{key: 2}), 2, f"unknown problem key '{key}'", id=f"key-{key}"
+            )
+            for key in ("workers", "grid_point")
+        ),
+        pytest.param(
+            SOLVE,
+            _problem(target={"alpha": 0.6, "beta": 0.8, "phi": 0.5, "gamma": 0.0}),
+            2,
+            "got keys {alpha, beta, gamma, phi}",
+            id="target-extra-key",
+        ),
+        pytest.param(
+            SOLVE,
+            _problem(target={"alpha": 0.6, "beta": 0.8, "phi": 0.5, "g_re": 0.6}),
+            2,
+            "got keys {alpha, beta, g_re, phi}",
+            id="target-mixed-forms",
+        ),
+        pytest.param(
+            SOLVE,
+            _problem(target={"g_re": 0.6, "g_im": 0.0, "f_re": 0.8, "f_im": 0.0, "phi": 0.0}),
+            2,
+            "got keys {f_im, f_re, g_im, g_re, phi}",
+            id="target-gf-extra-key",
+        ),
+        *(
+            pytest.param(
                 ["stirap", f"--{flag}={value}"], None, 2, f"--{flag}", id=f"{flag}-{value}"
             )
             for flag, value in [
@@ -411,7 +451,11 @@ SWEEP = ["sweep", "--config", "{input}"]
         ),
     ],
 )
-def test_exit_code(tmp_path, capsys, argv, text, code, fragment):
+def test_exit_code(tmp_path, capsys, monkeypatch, argv, text, code, fragment):
+    # leading NAME=value entries set environment variables, as env(1) does
+    while "=" in argv[0]:
+        monkeypatch.setenv(*argv[0].split("=", 1))
+        argv = argv[1:]
     path = _write(tmp_path, "input", text) if text is not None else None
     argv = [path if a == "{input}" else a for a in argv] + ["--out", str(tmp_path / "out")]
     assert main(argv) == code
@@ -569,13 +613,22 @@ def test_cli_import_loads_neither_scipy_nor_the_kernel():
 
 
 def test_solve_loads_no_scipy_module(tmp_path):
+    # pooled sweep and solve runs load neither scipy nor multiprocessing
     problem = _write(tmp_path, "problem.json", _problem())
+    sweep = _write(
+        tmp_path, "sweep.cfg", FAST_BASE + "sweep_parameter = delta_tau\nsweep_grid = 30, 40\n"
+    )
     out = tmp_path / "solution.json"
     probe = (
-        "import sys\n"
+        "import os, sys\n"
+        "os.cpu_count = lambda: 2\n"
         "from qubitrot.cli import main\n"
-        f"assert main(['solve', '--config', {problem!r}, '--out', {str(out)!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        f"assert main(['sweep', '--config', {sweep!r}, '--out', {str(tmp_path / 's.csv')!r},"
+        " '--workers', '2']) == 0\n"
+        f"assert main(['solve', '--config', {problem!r}, '--out', {str(out)!r},"
+        " '--workers', '2']) == 0\n"
+        "roots = {m.partition('.')[0] for m in sys.modules}\n"
+        "print(sorted(roots & {'scipy', 'multiprocessing'}))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(qubitrot.__file__).parents[1])}
     done = subprocess.run(
@@ -584,6 +637,22 @@ def test_solve_loads_no_scipy_module(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
     assert json.loads(out.read_text())["result"]["evaluations"] > 3
+
+
+def test_workers_env_caps_the_pool(tmp_path, monkeypatch, executor_requests):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.delenv("QUBITROT_WORKERS", raising=False)
+    path = _write(
+        tmp_path, "sweep.cfg", FAST_BASE + "sweep_parameter = delta_tau\nsweep_grid = 30, 40, 50\n"
+    )
+    argv = ["sweep", "--config", path, "--out", str(tmp_path / "s.csv"), "--workers", "3"]
+    for cap in (None, "2", "1"):
+        if cap is not None:
+            monkeypatch.setenv("QUBITROT_WORKERS", cap)
+        assert main(argv) == 0
+    # pools of 3 and 2 threads at work, counting the calling thread; with
+    # QUBITROT_WORKERS = 1 it works alone
+    assert executor_requests == [2, 1]
 
 
 def test_tolerance_below_100_eps_runs_as_requested(tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -139,6 +140,22 @@ class TestSolve:
         result = solve(problem, grid_points=2)
         assert result.grid_failures
         assert result.fidelity > 0.9
+
+    def test_worker_count_does_not_change_the_result(self, monkeypatch):
+        # two cores, so that the pool runs on a one-core machine too
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        base = _fast_base()
+        target = _forward_target(apply_parameter(base, "delta_tau", 35.0))
+        chirped = _fast_base(chirp_kind="linear", chi=1.0)
+        problems = [
+            ControlProblem(target, {"delta_tau": (20.0, 60.0), "ratio_omega": (0.8, 1.2)}, base),
+            # one of the two grid points fails
+            ControlProblem(target, {"chi": (0.5, 1e14)}, chirped),
+        ]
+        for problem in problems:
+            serial = solve(problem, grid_points=3, workers=1)
+            assert solve(problem, grid_points=3, workers=2) == serial
+        assert serial.grid_failures
 
 
 def _scipy_minimize(func, x0, bounds):

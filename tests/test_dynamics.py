@@ -4,6 +4,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -458,6 +461,29 @@ class TestEngines:
         # the failure is remembered and logged once, not retried per call
         assert len(calls) == 1
         assert [r.levelno for r in caplog.records if "kernel" in r.getMessage()] == [logging.DEBUG]
+
+    def test_threads_build_the_kernel_once(self, kernel, monkeypatch):
+        built = _kernel.compile_library()
+        calls = []
+
+        def slow_compile(cache_dir=_kernel.CACHE_DIR):
+            calls.append(cache_dir)
+            time.sleep(0.05)  # hold the window in which the other threads ask
+            return built
+
+        monkeypatch.setattr(_kernel, "_library", _kernel._UNSET)
+        monkeypatch.setattr(_kernel, "compile_library", slow_compile)
+        start = threading.Barrier(8)
+
+        def ask(_):
+            start.wait()
+            return _kernel.library()
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            libraries = list(pool.map(ask, range(8)))
+        assert len(calls) == 1
+        assert libraries[0] is not None
+        assert all(lib is libraries[0] for lib in libraries)
 
     def test_build_once_then_reuse(self, kernel, tmp_path, monkeypatch):
         compiles = []

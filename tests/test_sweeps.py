@@ -1,9 +1,13 @@
 import math
+import os
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from qubitrot import _kernel
 from qubitrot import (
     SweepSpec,
     apply_parameter,
@@ -14,7 +18,7 @@ from qubitrot import (
     run_sweep,
 )
 from qubitrot.cli import sweep_csv_lines
-from qubitrot.sweeps import SWEEP_PARAMETERS
+from qubitrot.sweeps import SWEEP_PARAMETERS, map_points
 from qubitrot.types import DetuningSpec
 
 # a chirped base whose pulses carry a width no config key names
@@ -153,11 +157,43 @@ class TestRunSweep:
         lines2 = sweep_csv_lines(run_sweep(spec))
         assert lines1 == lines2
 
-    def test_worker_count_does_not_change_results(self):
+    @pytest.mark.parametrize("engine", ["compiled", "python"])
+    def test_worker_count_does_not_change_results(self, engine, request, monkeypatch):
+        if engine == "compiled":
+            request.getfixturevalue("kernel")
+        else:
+            monkeypatch.setattr(_kernel, "_library", None)
+        # two cores, so that the pool runs on a one-core machine too
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         spec = SweepSpec("delta_tau", (20.0, 30.0, 40.0), _fast_cfg())
         serial = sweep_csv_lines(run_sweep(spec, workers=1))
         parallel = sweep_csv_lines(run_sweep(spec, workers=2))
         assert serial == parallel
+
+    def test_pool_error_stops_the_map(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        calls = []
+
+        def fail_on_the_calling_thread(x):
+            calls.append(x)
+            if threading.current_thread() is threading.main_thread():
+                raise ValueError(f"point {x}")
+            time.sleep(0.01)
+
+        with pytest.raises(ValueError, match="point"):
+            map_points(fail_on_the_calling_thread, range(50), workers=2)
+        # the pool thread finishes the point it holds and starts no other
+        assert len(calls) <= 3
+
+    def test_pool_never_outnumbers_points_or_cores(self, executor_requests, monkeypatch):
+        spec = SweepSpec("delta_tau", (20.0, 30.0, 40.0), _fast_cfg())
+        expected = sweep_csv_lines(run_sweep(spec))
+        for cores in (64, 2, 1, None):
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            assert sweep_csv_lines(run_sweep(spec, workers=10_000)) == expected
+        # the calling thread is one of the threads at work; one core, or an
+        # unknown count, runs on it alone
+        assert executor_requests == [2, 1]
 
     def test_point_failure_recorded_not_fatal(self):
         base = _fast_cfg(chirp_kind="linear", chi=1.0)
