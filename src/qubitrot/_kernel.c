@@ -11,10 +11,11 @@
  * Keep that operation order when editing, in both files.
  *
  * The file also holds the CSV writer of cli._table_lines, qr_format_rows,
- * whose every cell is byte-identical to Python's "%.17g" % x. It uses only
- * integer arithmetic and snprintf, so the complex operation order above, and
- * its caveat that Python 3.14 stops promoting a float in mixed complex
- * arithmetic, do not apply to it.
+ * whose every cell is byte-identical to Python's "%.17g" % x. It uses exact
+ * integer arithmetic for every finite |x| < 2^63 and snprintf only for larger
+ * values and infinities, so the complex operation order above, and its caveat
+ * that Python 3.14 stops promoting a float in mixed complex arithmetic, do not
+ * apply to it.
  */
 
 #include <math.h>
@@ -335,8 +336,44 @@ static uint64_t scaled(uint64_t m, int e, int p, int *cmp)
     return (uint64_t)n;
 }
 
-/* Writes "%.17g" of a normal x with 2^-49 <= |x| < 2^63 to s and returns
- * its length; returns 0, writing nothing, for any other x. The 17 digits are
+/* scaled for 31 <= p <= 340 and e + p < 0, where |x| < 2^-49: m 5^p, below
+ * 2^53 5^340 < 2^843, as 14 little-endian 64-bit limbs, shifted right by
+ * -(e + p) bits. Callers keep the result at least 10^16 and below 10^18. */
+static uint64_t scaled_wide(uint64_t m, int e, int p, int *cmp)
+{
+    uint64_t n[14] = {m};
+    int len = 1;
+    for (int q = p; q > 0; q -= 27) { /* times 5^27 < 2^63 per pass */
+        const uint64_t f = POW5[q < 27 ? q : 27];
+        u128 carry = 0;
+        for (int i = 0; i < len; i++) {
+            carry += (u128)n[i] * f;
+            n[i] = (uint64_t)carry;
+            carry >>= 64;
+        }
+        if (carry)
+            n[len++] = (uint64_t)carry;
+    }
+    /* the result sets a bit at or above s + 53, so limb w + 1 <= 13 exists */
+    const int s = -(e + p), w = s / 64, b = s % 64;
+    uint64_t f = n[w] >> b;
+    if (b)
+        f |= n[w + 1] << (64 - b);
+    /* the dropped bits against one half: bit s - 1, then every bit below it */
+    const int hw = (s - 1) / 64, hb = (s - 1) % 64;
+    if (!(n[hw] >> hb & 1)) {
+        *cmp = -1;
+        return f;
+    }
+    int below = (n[hw] & ((1ULL << hb) - 1)) != 0;
+    for (int i = 0; i < hw && !below; i++)
+        below = n[i] != 0;
+    *cmp = below;
+    return f;
+}
+
+/* Writes "%.17g" of a nonzero finite x with |x| < 2^63 to s and returns its
+ * length; returns 0, writing nothing, for any other x. The 17 digits are
  * x 10^(16-X) rounded half to even, where X = floor(log10 |x|) is decided
  * from the unrounded value, and are laid out by the C99 %g rules. */
 static int format_exact(double x, char *s)
@@ -346,17 +383,29 @@ static int format_exact(double x, char *s)
         uint64_t bits;
     } u = {x};
     const uint64_t bits = u.bits;
-    const int k = (int)(bits >> 52 & 0x7ff) - 1023; /* floor(log2 |x|) */
-    if (k < -49 || k > 62)
+    const int biased = (int)(bits >> 52 & 0x7ff);
+    uint64_t m = bits & ((1ULL << 52) - 1);
+    int e;
+    if (biased > 0) {
+        m |= 1ULL << 52;
+        e = biased - 1075;
+    } else { /* a subnormal, m 2^-1074: shifted up to 53 bits, same value */
+        if (m == 0)
+            return 0;
+        const int z = __builtin_clzll(m) - 11;
+        m <<= z;
+        e = -1074 - z;
+    }
+    const int k = e + 52; /* floor(log2 |x|) */
+    if (k > 62)
         return 0;
-    const uint64_t m = (bits & ((1ULL << 52) - 1)) | 1ULL << 52;
-    const int e = k - 52;
-    int X = (k * 78913) >> 18; /* floor(k log10 2), which is X or X - 1 */
+    /* floor(k log10 2) for every k from -1074 to 62, which is X or X - 1 */
+    int X = (k * 78913) >> 18;
     int cmp;
-    uint64_t f = scaled(m, e, 16 - X, &cmp);
+    uint64_t f = k < -49 ? scaled_wide(m, e, 16 - X, &cmp) : scaled(m, e, 16 - X, &cmp);
     if (f >= POW10[17]) {
         X++;
-        f = scaled(m, e, 16 - X, &cmp);
+        f = k < -49 ? scaled_wide(m, e, 16 - X, &cmp) : scaled(m, e, 16 - X, &cmp);
     }
     if (cmp > 0 || (cmp == 0 && (f & 1)))
         f++;
@@ -383,11 +432,13 @@ static int format_exact(double x, char *s)
             *o++ = '.';
         for (int i = 1; i <= last; i++)
             *o++ = d[i];
-        /* |X| <= 18 in this range: two exponent digits */
+        /* -324 <= X <= 18: two exponent digits, or three from e-100 */
         *o++ = 'e';
         *o++ = X < 0 ? '-' : '+';
         const int a = X < 0 ? -X : X;
-        *o++ = (char)('0' + a / 10);
+        if (a >= 100)
+            *o++ = (char)('0' + a / 100);
+        *o++ = (char)('0' + a / 10 % 10);
         *o++ = (char)('0' + a % 10);
     } else if (X >= 0) {
         for (int i = 0; i <= X; i++)

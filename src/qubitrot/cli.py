@@ -108,6 +108,15 @@ def _coerce(key: str, value, parser):
     raise ConfigError(f"invalid value for key '{key}': {value!r}")
 
 
+def _check_count(name: str, value: int) -> None:
+    """Raises ConfigError naming ``name`` unless 1 <= value <= sys.maxsize,
+    the largest count numpy can index."""
+    if value < 1:
+        raise ConfigError(f"{name}: must be at least 1, got {value}")
+    if value > sys.maxsize:
+        raise ConfigError(f"{name}: must be at most {sys.maxsize}, got {value}")
+
+
 def build_config(entries: dict) -> SimulationConfig:
     """Turn a flat key/value mapping into a validated SimulationConfig.
 
@@ -364,17 +373,21 @@ def _load_sweep_spec(args) -> sweeps.SweepSpec:
         preset = sweeps.figure_preset(args.preset)
         if not isinstance(preset, sweeps.SweepSpec):
             raise ConfigError(f"preset '{args.preset}' is a single run, not a sweep")
-        spec = preset
-        if args.grid_points is not None and args.grid_points < 1:
-            raise ConfigError(f"--grid-points must be at least 1, got {args.grid_points}")
-        if args.grid_points is not None and spec.parameter != "chirp_kind":
-            lo, hi = float(spec.grid[0]), float(spec.grid[-1])
-            spec = sweeps.SweepSpec(
-                spec.parameter, tuple(np.linspace(lo, hi, args.grid_points)), spec.base
-            )
-        return spec
+        if args.grid_points is None:
+            return preset
+        # every sweep preset has a numeric grid
+        _check_count("--grid-points", args.grid_points)
+        lo, hi = float(preset.grid[0]), float(preset.grid[-1])
+        return sweeps.SweepSpec(
+            preset.parameter, tuple(np.linspace(lo, hi, args.grid_points)), preset.base
+        )
     if not args.config:
         raise ConfigError("one of --preset or --config is required")
+    if args.grid_points is not None:
+        raise ConfigError(
+            "--grid-points resamples only a preset grid; with --config, set "
+            "sweep_grid or sweep_points in the file"
+        )
     entries = load_config_file(args.config)
     base = build_config({k: v for k, v in entries.items() if k not in _SWEEP_KEYS})
     try:
@@ -388,8 +401,7 @@ def _load_sweep_spec(args) -> sweeps.SweepSpec:
         grid = tuple(raw)
     elif {"sweep_start", "sweep_stop", "sweep_points"} <= entries.keys():
         points = _coerce("sweep_points", entries["sweep_points"], int)
-        if points < 1:
-            raise ConfigError(f"key 'sweep_points': must be at least 1, got {points}")
+        _check_count("key 'sweep_points'", points)
         grid = tuple(
             np.linspace(
                 _coerce("sweep_start", entries["sweep_start"], float),
@@ -568,8 +580,7 @@ def _load_problem(path: str) -> tuple[control.ControlProblem, dict]:
         "grid_points": _coerce("grid_points", doc.get("grid_points", 11), int),
         "eval_rel_tol": _coerce("eval_rel_tol", doc.get("eval_rel_tol", 1e-8), float),
     }
-    if options["grid_points"] < 1:
-        raise ConfigError(f"key 'grid_points': must be at least 1, got {options['grid_points']}")
+    _check_count("key 'grid_points'", options["grid_points"])
     if not 0.0 < options["eval_rel_tol"] < math.inf:
         raise ConfigError(
             f"key 'eval_rel_tol': must be positive and finite, got {options['eval_rel_tol']}"

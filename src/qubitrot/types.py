@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import reduce
 
@@ -243,6 +244,8 @@ class SimulationConfig:
             )
         if self.samples < 2:
             raise ValueError(f"samples must be at least 2, got {self.samples}")
+        if self.samples > sys.maxsize:  # numpy cannot index more
+            raise ValueError(f"samples must be at most {sys.maxsize}, got {self.samples}")
 
     def with_(self, **changes) -> "SimulationConfig":
         return replace(self, **changes)

@@ -388,6 +388,36 @@ SWEEP = ["sweep", "--config", "{input}"]
             ["simulate", "--preset", "fig9", "--samples", "1"], None, 2, "--samples",
             id="samples-1",
         ),
+        # counts numpy cannot index; never a count that could be allocated
+        pytest.param(
+            SIMULATE, f"samples = {10**23}\n", 2, "samples must be at most", id="samples-key-1e23"
+        ),
+        pytest.param(
+            ["simulate", "--preset", "fig9", "--samples", str(10**23)], None, 2, "--samples",
+            id="samples-1e23",
+        ),
+        pytest.param(
+            SWEEP,
+            FAST_BASE + "sweep_parameter = delta_tau\nsweep_start = 30\nsweep_stop = 60\n"
+            f"sweep_points = {10**23}\n",
+            2,
+            "'sweep_points'",
+            id="sweep_points-1e23",
+        ),
+        pytest.param(
+            ["sweep", "--preset", "fig7", "--grid-points", str(10**23)], None, 2, "--grid-points",
+            id="grid-points-1e23",
+        ),
+        pytest.param(
+            SOLVE, _problem(grid_points=10**23), 2, "'grid_points'", id="solve-grid_points-1e23"
+        ),
+        pytest.param(
+            [*SWEEP, "--grid-points", "0"],
+            FAST_BASE + "sweep_parameter = delta_tau\nsweep_grid = 30, 60\n",
+            2,
+            "--grid-points resamples only a preset grid",
+            id="grid-points-with-config",
+        ),
         *(
             pytest.param(
                 [command, "--preset", "nosuch"], None, 2, "--preset: unknown preset 'nosuch'; "

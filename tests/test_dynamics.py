@@ -2,6 +2,7 @@ import cmath
 import logging
 import math
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -502,3 +503,14 @@ class TestEngines:
         # the temporary file was moved into place, and the library loads
         assert [p.name for p in tmp_path.iterdir()] == [first.name]
         assert _kernel.load(second).qr_dopri45 is not None
+
+    def test_kernel_compiles_without_warnings(self, tmp_path):
+        cc = shutil.which("cc") or shutil.which("gcc")
+        if cc is None:
+            pytest.skip("no C compiler (cc or gcc) on PATH")
+        flags = [*_kernel.CFLAGS, "-Wall", "-Wextra", "-Werror"]
+        done = subprocess.run(
+            [cc, *flags, "-o", str(tmp_path / "k.so"), str(_kernel.SOURCE), "-lm"],
+            capture_output=True, text=True, timeout=120,
+        )  # fmt: skip
+        assert done.returncode == 0, done.stderr

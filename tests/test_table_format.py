@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qubitrot import _kernel
+from qubitrot import _kernel, stirap, sweeps
 from qubitrot.cli import _table_lines
+from qubitrot.types import InitialQubit, PulsePair, normalizing_beta
 
 
 def _python(x: float) -> str:
@@ -83,6 +84,33 @@ class TestFormatRows:
             values += list(np.ldexp(rng.uniform(1.0, 2.0, size=300), k))
         _assert_same(values + [-v for v in values])
 
+    def test_tiny_range_dense(self, kernel):
+        # every binade below 2^-49, the subnormal ones included
+        rng = np.random.default_rng(12)
+        values = []
+        for k in range(-1074, -49):
+            values += list(np.ldexp(rng.uniform(1.0, 2.0, size=300), k))
+        assert min(values) == 5e-324 and max(values) < 2.0**-49
+        _assert_same(values + [-v for v in values])
+
+    def test_tiny_range_limits(self, kernel):
+        values = [v for x in (2.0**-49, 2.2250738585072014e-308, 5e-324) for v in _neighbours(x)]
+        _assert_same(values + [-v for v in values])
+
+    def test_three_digit_exponents(self, kernel):
+        assert _compiled([1e-100, -2.5e-308, 1e-200, 5e-324]) == [
+            "1e-100",
+            "-2.4999999999999998e-308",
+            "9.9999999999999998e-201",
+            "4.9406564584124654e-324",
+        ]
+        # 1e-99 has two exponent digits, the double below it three
+        values = _neighbours(1e-100) + _neighbours(1e-99)
+        values += list(10.0 ** np.random.default_rng(13).uniform(-323.9, -100.0, size=2000))
+        exponents = {_python(v)[-5:] for v in values}
+        assert {"e-100", "e-101", "e-200", "e-323", "e-324"} <= exponents
+        _assert_same(values + [-v for v in values])
+
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
     @settings(max_examples=200, deadline=None)
     def test_bit_patterns(self, kernel, patterns):
@@ -102,7 +130,7 @@ class TestFormatRows:
             assert _kernel.format_rows(rows) == [",".join(map(_python, r)) for r in rows.tolist()]
 
     def test_zeros_of_both_signs(self, kernel):
-        # zeros skip snprintf; an all-zero table spanning several buffers
+        # zeros have their own branch; an all-zero table spanning several buffers
         signs = np.random.default_rng(4).random((9001, 15)) < 0.5
         rows = np.where(signs, 0.0, -0.0)
         lines = _kernel.format_rows(rows)
@@ -117,3 +145,20 @@ def test_table_lines_without_the_kernel(monkeypatch):
         assert _table_lines("a,b", columns) == expected
     monkeypatch.setattr(_kernel, "_library", None)
     assert _table_lines("a,b", columns) == expected
+
+
+def test_stirap_envelopes_without_the_kernel(kernel, monkeypatch):
+    # the envelopes table of a stirap run, whose Gaussian tails reach 1e-96
+    alpha = sweeps.BASE_ALPHA
+    qubit = InitialQubit(alpha, normalizing_beta(alpha), sweeps.BASE_PHI)
+    traj = stirap.chopped_rotation(qubit, stop_time=math.inf)
+    w = stirap.designed_drive(qubit, PulsePair.T, stirap.DEFAULT_SCALE).sample(traj.times)
+    columns = [traj.times, w[:, 0].real, w[:, 0].imag, w[:, 1].real, w[:, 1].imag]
+    compiled = _table_lines("t,a,b,c,d", columns)
+    tiny = [c for line in compiled[1:] for c in line.split(",") if 0 < abs(float(c)) < 2.0**-49]
+    assert len(tiny) > 500 and min(abs(float(c)) for c in tiny) < 1e-90
+    monkeypatch.setattr(_kernel, "_library", None)
+    python = _table_lines("t,a,b,c,d", columns)
+    assert len(compiled) == len(python) == len(traj.times) + 1
+    for got, expected in zip(compiled, python):
+        assert got == expected
