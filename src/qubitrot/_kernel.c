@@ -1,6 +1,8 @@
 /* Compiled engine of qubitrot: the Dormand-Prince 5(4) stepper of
- * dynamics._dopri45 with its two right-hand sides, the three-level Lambda
- * system and the reduced two-level problem.
+ * dynamics._dopri45 and rhs(), the right-hand side a problem describes: the
+ * three-level Lambda system or its reduced two-level problem. The problem is
+ * built by dynamics._problem; dynamics._rhs is the Python mirror of rhs(),
+ * branch for branch, and dynamics._propagate runs one engine or the other.
  *
  * Every complex operation is written as CPython 3.11 performs it on Python
  * complex numbers (_Py_c_sum, _Py_c_diff, _Py_c_prod, hypot for abs), a real
@@ -43,7 +45,8 @@ static double max2(double a, double b) { return b > a ? b : a; }
 static const cx I_ = {0.0, 1.0};
 static const cx NEG_I = {-0.0, -1.0}; /* the Python literal -1j */
 
-/* Mirrors class Problem in _kernel.py field for field. */
+/* Mirrors class Problem in _kernel.py field for field; dynamics._problem
+ * fills it. */
 typedef struct {
     /* drive: (omega1, omega2) = W (G_a, G_b), both zero past cutoff when mixed */
     double ca, cb, inv_tau, cutoff;

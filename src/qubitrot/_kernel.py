@@ -1,10 +1,13 @@
 """The compiled engine: ``_kernel.c`` built on first use and called through ctypes.
 
-The C file ports :func:`qubitrot.dynamics._dopri45` and its two right-hand
-sides, keeping CPython's operation order so that it takes the same steps and
-gives the same bits. It also formats numeric CSV tables cell by cell exactly
-as ``"%.17g" % x`` (:func:`format_rows`). The first use in a process builds
-it with the system C compiler into the package's own ``__pycache__``, under a
+The C file ports :func:`qubitrot.dynamics._dopri45` and ``rhs()``, which
+evaluates the right-hand side a :class:`Problem` describes (the Lambda system
+or its two-level reduction, built by ``dynamics._problem``; its Python mirror
+is ``dynamics._rhs``). It keeps CPython's operation order, so that it takes
+the same steps and gives the same bits; ``dynamics._propagate`` picks the
+engine. It also formats numeric CSV tables cell by cell exactly as
+``"%.17g" % x`` (:func:`format_rows`). The first use in a process builds it
+with the system C compiler into the package's own ``__pycache__``, under a
 name that carries a hash of the source and the flags; later processes load
 that file. If there is no compiler, the directory is not writable or the
 library does not load, :func:`library` returns None for the rest of the
@@ -16,7 +19,6 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import logging
-import math
 import os
 import shutil
 import subprocess
@@ -52,7 +54,8 @@ _ptr = ctypes.c_void_p
 
 
 class Problem(ctypes.Structure):
-    """The drive and right-hand side as numbers; mirrors ``problem`` in _kernel.c."""
+    """A run's right-hand side as numbers, built by ``dynamics._problem``;
+    mirrors ``problem`` in _kernel.c field for field."""
 
     _fields_ = (
         [(name, _double) for name in ("ca", "cb", "inv_tau", "cutoff")]
@@ -62,25 +65,6 @@ class Problem(ctypes.Structure):
         + [(name, _double) for name in ("chi1", "chi2", "center1", "center2", "chirp_inv_tau")]
         + [(name, _double) for name in ("alpha", "bplus_re", "bplus_im", "inv_delta")]
     )
-
-
-def problem(drive, **fields) -> Problem:
-    """``drive`` (a :class:`~qubitrot.dynamics.Drive`) as kernel numbers, plus
-    the right-hand side's ``fields``.
-
-    Takes the same two-product form as ``Drive.evaluator`` for a diagonal W
-    without a cut-off, and its general form otherwise.
-    """
-    (w11, w12), (w21, w22) = drive.weights
-    mixed = not (w12 == 0 and w21 == 0 and drive.cutoff == math.inf)
-    weights = {}
-    for name, w in zip(("w11", "w12", "w21", "w22"), (w11, w12, w21, w22)):
-        weights[name + "re"], weights[name + "im"] = w.real, w.imag
-    ca, cb = drive.centers
-    return Problem(
-        ca=ca, cb=cb, inv_tau=1.0 / drive.tau, cutoff=drive.cutoff,
-        mixed=mixed, **weights, **fields,
-    )  # fmt: skip
 
 
 def compile_library(cache_dir: Path = CACHE_DIR) -> Path:

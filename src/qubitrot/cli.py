@@ -15,8 +15,9 @@ and default to the common base scenario; unknown keys are rejected. A JSON
 run manifest produced by ``simulate`` can be passed back via ``--config`` to
 reproduce the run byte-for-byte.
 
-Exit codes: 0 success, 2 malformed configuration or flags, 3 integration or
-solver failure, 4 unsupported-regime flag combination.
+Exit codes: 0 success, 2 malformed configuration or flags (a count too
+large to allocate included), 3 integration or solver failure, 4
+unsupported-regime flag combination.
 """
 
 from __future__ import annotations
@@ -75,6 +76,16 @@ def _parse_keyvalue_text(text: str, path: str) -> dict[str, str]:
     return entries
 
 
+def _unique_pairs(path: str, pairs: list) -> dict:
+    """``object_pairs_hook`` of the JSON reader: raises ConfigError on a duplicate key."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"{path}: duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def load_config_file(path: str) -> dict:
     """Read a key=value config file, or the ``config`` block of a JSON manifest."""
     try:
@@ -83,7 +94,7 @@ def load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if text.lstrip().startswith("{"):
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, object_pairs_hook=functools.partial(_unique_pairs, path))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         raw = doc.get("config", doc)
@@ -522,7 +533,8 @@ def cmd_stirap(args) -> int:
 
 def _load_problem(path: str) -> tuple[control.ControlProblem, dict]:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+        doc = json.loads(text, object_pairs_hook=functools.partial(_unique_pairs, path))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read problem file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -693,6 +705,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # a count that passes validation but cannot be allocated
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except UnsupportedRegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,15 +26,18 @@ Prince, J. Comput. Appl. Math. 6, 19 (1980)) with the step control and
 sec. II.4-II.6. It is written out as straight-line code over three complex
 scalar slots, one expression per slot for each stage sum, the error norm and
 the dense output. It takes the same steps as scipy's RK45 only while each sum
-and product keeps scipy's operation order. The two-level reduction runs on
-the same stepper with a zero third slot; the stepper's ``n`` argument, the
-divisor of the RMS error norm, is then 2. ``_kernel.c`` ports the stepper and
-both right-hand sides to C in the same operation order, so it takes the same
-steps and gives the same bits (see :mod:`qubitrot._kernel`). A :class:`Drive`
-runs on that port whenever it builds; ``_dopri45`` stays the reference, the
-fallback and the engine of a bare envelope callable. The state is never
-renormalized: norm drift is recorded as a diagnostic so integration bugs stay
-visible, and a drift beyond NORM_DRIFT_LIMIT aborts the run.
+and product keeps scipy's operation order.
+
+A run's right-hand side is described once, by the ``_kernel.Problem`` of
+:func:`_problem`: the Lambda system above, or the two-level reduction of
+:mod:`qubitrot.twolevel` on two slots (the third stays zero and the RMS error
+norm divides by ``n = 2``). ``rhs()`` in ``_kernel.c`` evaluates it and
+:func:`_rhs` mirrors that in Python. :func:`_propagate` runs the C port of the
+stepper, which keeps the operation order and so the steps and bits (see
+:mod:`qubitrot._kernel`), whenever it builds, and ``_dopri45`` on ``_rhs``
+otherwise and for a bare envelope callable. The state is never renormalized:
+norm drift is recorded as a diagnostic so integration bugs stay visible, and
+a drift beyond NORM_DRIFT_LIMIT aborts the run.
 """
 
 from __future__ import annotations
@@ -89,6 +92,12 @@ class Drive:
         w1 = p.omega01 * cmath.exp(-1j * p.delta)
         return cls((p.center1, p.center2), p.tau, ((w1, 0j), (0j, complex(p.omega02))))
 
+    @property
+    def _diagonal(self) -> bool:
+        # W diagonal and no cut-off: each envelope is one product
+        (_, w12), (w21, _) = self.weights
+        return w12 == 0 and w21 == 0 and self.cutoff == math.inf
+
     def evaluator(self) -> EnvelopePair:
         """Scalar closure t -> (omega1, omega2) for the stepper. A diagonal W
         without a cut-off gets two products, at about half the cost per call."""
@@ -96,7 +105,7 @@ class Drive:
         ca, cb = self.centers
         inv_tau = 1.0 / self.tau
         cutoff = self.cutoff
-        if w12 == 0 and w21 == 0 and cutoff == math.inf:
+        if self._diagonal:
 
             def pair(t: float) -> tuple[complex, complex]:
                 xa = (t - ca) * inv_tau
@@ -191,32 +200,76 @@ def assemble_generator(t: float, cfg: SimulationConfig) -> GeneratorMatrix:
     )
 
 
-def _rate_fn(c: ChirpProfile, center: float, tau: float):
-    if not c.is_active:
-        return None
-    chi, inv_tau = c.chi, 1.0 / tau
-    if c.kind == "linear":
-        return lambda t: chi * (t - center) * inv_tau
-    return lambda t: chi * math.tanh((t - center) * inv_tau)
+def _problem(cfg: SimulationConfig, drive: Drive, reduced: bool = False):
+    """The run's right-hand side as the numbers of a ``_kernel.Problem``:
+    the envelopes of ``drive``, and from ``cfg`` the detunings and chirps of
+    the Lambda system or, when ``reduced``, the qubit and detuning of the
+    two-level reduction (see :mod:`qubitrot.twolevel`)."""
+    from . import _kernel
 
-
-def _make_rhs(cfg: SimulationConfig, envelopes: Drive | EnvelopePair | None):
-    """Closure evaluating the amplitude derivatives; scalar math for speed."""
-    p = cfg.pulses
+    p, q = cfg.pulses, cfg.initial
     d1 = cfg.detunings.delta1
-    dd = cfg.detunings.delta1 - cfg.detunings.delta2
-    inv_tau = 1.0 / p.tau
-    rate1 = _rate_fn(p.chirp1, p.center1, p.tau)
-    rate2 = _rate_fn(p.chirp2, p.center2, p.tau)
+    bplus = q.beta * cmath.exp(1j * q.phi)
+    fields = {}
+    for ij, w in zip(("11", "12", "21", "22"), (*drive.weights[0], *drive.weights[1])):
+        fields[f"w{ij}re"], fields[f"w{ij}im"] = w.real, w.imag
+    for j, chirp, center in ((1, p.chirp1, p.center1), (2, p.chirp2, p.center2)):
+        fields[f"kind{j}"] = CHIRP_KINDS.index(chirp.kind) if chirp.is_active else 0
+        fields[f"chi{j}"], fields[f"center{j}"] = chirp.chi, center
+    return _kernel.Problem(
+        ca=drive.centers[0], cb=drive.centers[1], inv_tau=1.0 / drive.tau,
+        cutoff=drive.cutoff, mixed=not drive._diagonal, reduced=reduced,
+        d1=d1, dd=d1 - cfg.detunings.delta2, chirp_inv_tau=1.0 / p.tau,
+        alpha=q.alpha, bplus_re=bplus.real, bplus_im=bplus.imag,
+        inv_delta=1.0 / d1 if reduced else 0.0, **fields,
+    )  # fmt: skip
 
-    env = Drive.from_pulses(p) if envelopes is None else envelopes
-    if isinstance(env, Drive):
-        env = env.evaluator()
+
+def _couplings(alpha: float, bplus: complex, w1: complex, w2: complex) -> tuple[complex, complex]:
+    """Two-level couplings (f1, f2) of the envelopes (w1, w2); bplus = beta e^{i phi}."""
+    w1c = w1.conjugate()
+    w2c = w2.conjugate()
+    return alpha * w1c + bplus.conjugate() * w2c, bplus * w1c - alpha * w2c
+
+
+def _chirp_rate(kind: int, chi: float, center: float, inv_tau: float):
+    # chirp_rate() of _kernel.c, per unit t; None for kind 0 (off)
+    if kind == 1:
+        return lambda t: chi * (t - center) * inv_tau * inv_tau
+    if kind == 2:
+        return lambda t: chi * math.tanh((t - center) * inv_tau) * inv_tau
+    return None
+
+
+def _rhs(prob, env: EnvelopePair):
+    """``rhs()`` of ``_kernel.c`` in Python, branch for branch: the closure
+    ``rhs(t, a, b, c)`` of the three slots' derivatives under ``prob``, for
+    ``_dopri45``. It calls ``env(t)`` once per evaluation for the envelopes;
+    the reduced problem keeps its third slot at zero."""
+    if prob.reduced:
+        alpha, inv_delta = prob.alpha, prob.inv_delta
+        bplus = complex(prob.bplus_re, prob.bplus_im)
+
+        def reduced(t, di, dk, _):
+            f1, f2 = _couplings(alpha, bplus, *env(t))
+            omega_e = f1 * f2.conjugate() * inv_delta
+            delta_e = (abs(f1) ** 2 - abs(f2) ** 2) * 0.5 * inv_delta
+            return (
+                -1j * (delta_e * di + omega_e * dk),
+                -1j * (omega_e.conjugate() * di - delta_e * dk),
+                0j,
+            )
+
+        return reduced
+
+    d1, dd = prob.d1, prob.dd
+    rate1 = _chirp_rate(prob.kind1, prob.chi1, prob.center1, prob.chirp_inv_tau)
+    rate2 = _chirp_rate(prob.kind2, prob.chi2, prob.center2, prob.chirp_inv_tau)
 
     def rhs(t, de, dg, df):
         w1, w2 = env(t)
-        r1 = rate1(t) * inv_tau if rate1 else 0.0
-        r2 = rate2(t) * inv_tau if rate2 else 0.0
+        r1 = rate1(t) if rate1 else 0.0
+        r2 = rate2(t) if rate2 else 0.0
         return (
             1j * (d1 + r1) * de - 1j * (w1 * dg + w2 * df),
             -1j * w1.conjugate() * de,
@@ -255,6 +308,17 @@ _DENSE = (
         69997945 / 29380423,
     ),
 )
+
+
+def _rms(za: complex, zb: complex, zc: complex, rn: float) -> float:
+    # RMS norm over the slots, rms() in _kernel.c: the real squares summed,
+    # then the imaginary ones, as numpy's complex vector norm sums them
+    return math.sqrt(
+        za.real * za.real
+        + zb.real * zb.real
+        + zc.real * zc.real
+        + (za.imag * za.imag + zb.imag * zb.imag + zc.imag * zc.imag)
+    ) / rn
 
 
 def _dopri45(
@@ -298,35 +362,11 @@ def _dopri45(
     ia = 1.0 / (abs_tol + abs(ya) * rel_tol)
     ib = 1.0 / (abs_tol + abs(yb) * rel_tol)
     ic = 1.0 / (abs_tol + abs(yc) * rel_tol)
-    # RMS norms: the real squares summed over the slots, then the imaginary
-    # ones, as numpy's complex vector norm sums them
-    za, zb, zc = ya * ia, yb * ib, yc * ic
-    d0 = math.sqrt(
-        za.real * za.real
-        + zb.real * zb.real
-        + zc.real * zc.real
-        + (za.imag * za.imag + zb.imag * zb.imag + zc.imag * zc.imag)
-    ) / rn
-    za, zb, zc = k1a * ia, k1b * ib, k1c * ic
-    d1 = math.sqrt(
-        za.real * za.real
-        + zb.real * zb.real
-        + zc.real * zc.real
-        + (za.imag * za.imag + zb.imag * zb.imag + zc.imag * zc.imag)
-    ) / rn
+    d0 = _rms(ya * ia, yb * ib, yc * ic, rn)
+    d1 = _rms(k1a * ia, k1b * ib, k1c * ic, rn)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end - t)
     fa, fb, fc = rhs(t + h0, ya + h0 * k1a, yb + h0 * k1b, yc + h0 * k1c)
-    za, zb, zc = (fa - k1a) * ia, (fb - k1b) * ib, (fc - k1c) * ic
-    d2 = (
-        math.sqrt(
-            za.real * za.real
-            + zb.real * zb.real
-            + zc.real * zc.real
-            + (za.imag * za.imag + zb.imag * zb.imag + zc.imag * zc.imag)
-        )
-        / rn
-        / h0
-    )
+    d2 = _rms((fa - k1a) * ia, (fb - k1b) * ib, (fc - k1c) * ic, rn) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -465,15 +505,7 @@ def _dopri45(
                 * h
                 * (1.0 / (abs_tol + max(abs(yc), abs(nc)) * rel_tol))
             )
-            error = (
-                math.sqrt(
-                    za.real * za.real
-                    + zb.real * zb.real
-                    + zc.real * zc.real
-                    + (za.imag * za.imag + zb.imag * zb.imag + zc.imag * zc.imag)
-                )
-                / rn
-            )
+            error = _rms(za, zb, zc, rn)
             if error < 1:
                 factor = 10.0 if error == 0 else min(10.0, 0.9 * error**-0.2)
                 h_abs *= min(1.0, factor) if rejected else factor
@@ -557,48 +589,58 @@ def phase_pair(c_g, c_f) -> tuple[np.ndarray, np.ndarray]:
     return cos_phi, signed
 
 
-def _stepper(cfg: SimulationConfig, drive, rhs, n: int = 3, **fields):
-    """The engine that integrates a problem: ``(name, step)``.
+def _propagate(
+    cfg: SimulationConfig,
+    drive: Drive,
+    y0,
+    grid: np.ndarray,
+    *,
+    env: EnvelopePair | None = None,
+    reduced: bool = False,
+    breakpoints: Sequence[float] = (),
+):
+    """Integrate :func:`_problem` from state ``y0`` at ``cfg.t_start`` over
+    ``grid``, a grid from ``cfg.t_start`` to ``cfg.t_end``: ``(states, stats,
+    engine)``, with one row of three slots per grid point.
 
-    ``step(t, y, t_eval, stats)`` integrates from state ``y`` at ``t`` through
-    ``t_eval`` and returns one row of three samples per entry. The compiled
-    kernel runs when ``drive`` is a :class:`Drive` and the kernel builds and
-    loads, with the right-hand side given by ``fields`` (see ``_kernel.c``);
-    otherwise ``_dopri45`` runs on ``rhs``, and both give the same bits.
+    The compiled kernel runs when it loads and ``env`` is None; otherwise
+    ``_dopri45`` runs on :func:`_rhs` with the envelopes of ``env``, a bare
+    callable t -> (omega1, omega2), or of ``drive``. Both give the same bits.
+    The stepper restarts at ``breakpoints`` inside the window, such as a chop.
     """
-    if isinstance(drive, Drive):
-        from . import _kernel
+    from . import _kernel
 
-        if _kernel.library() is not None:
-            prob = _kernel.problem(drive, **fields)
+    prob = _problem(cfg, drive, reduced)
+    n = 2 if reduced else 3
+    stats = SolverStats()
+    if env is None and _kernel.library() is not None:
+        engine = "compiled"
 
-            def compiled(t, y, t_eval, stats):
-                return _kernel.dopri45(
-                    prob, t, y, t_eval, cfg.rel_tol, cfg.abs_tol, stats, NORM_DRIFT_LIMIT, n
-                )
+        def step(t, y, t_eval):
+            return _kernel.dopri45(
+                prob, t, y, t_eval, cfg.rel_tol, cfg.abs_tol, stats, NORM_DRIFT_LIMIT, n
+            )
 
-            return "compiled", compiled
+    else:
+        engine = "python"
+        rhs = _rhs(prob, drive.evaluator() if env is None else env)
 
-    def python(t, y, t_eval, stats):
-        samples = _dopri45(rhs, t, y, t_eval.tolist(), cfg.rel_tol, cfg.abs_tol, stats, n)
-        return np.array(samples, dtype=complex)
+        def step(t, y, t_eval):
+            samples = _dopri45(rhs, t, y, t_eval.tolist(), cfg.rel_tol, cfg.abs_tol, stats, n)
+            return np.array(samples, dtype=complex)
 
-    return "python", python
-
-
-def _lambda_fields(cfg: SimulationConfig) -> dict:
-    """The three-level right-hand side of :func:`_make_rhs` as kernel numbers."""
-    p = cfg.pulses
-    fields = {
-        "d1": cfg.detunings.delta1,
-        "dd": cfg.detunings.delta1 - cfg.detunings.delta2,
-        "chirp_inv_tau": 1.0 / p.tau,
-    }
-    for j, chirp, center in ((1, p.chirp1, p.center1), (2, p.chirp2, p.center2)):
-        fields[f"kind{j}"] = CHIRP_KINDS.index(chirp.kind) if chirp.is_active else 0
-        fields[f"chi{j}"] = chirp.chi
-        fields[f"center{j}"] = center
-    return fields
+    inner = [float(b) for b in sorted(breakpoints) if cfg.t_start < float(b) < cfg.t_end]
+    cuts = [cfg.t_start, *inner, cfg.t_end]
+    blocks = []
+    y = y0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        mask = (grid > a) & (grid <= b) if blocks else (grid >= a) & (grid <= b)
+        seg = grid[mask]
+        t_eval = seg if seg.size and seg[-1] == b else np.append(seg, b)
+        samples = step(a, y, t_eval)
+        blocks.append(samples[: seg.size])
+        y = tuple(map(complex, samples[-1]))
+    return np.concatenate(blocks), stats, engine
 
 
 def integrate(
@@ -624,25 +666,10 @@ def integrate(
     """
     q = cfg.initial
     grid = np.linspace(cfg.t_start, cfg.t_end, cfg.samples)
-    y = (0j, complex(q.alpha), q.beta * cmath.exp(1j * q.phi))
-    drive = Drive.from_pulses(cfg.pulses) if envelopes is None else envelopes
-    engine, step = _stepper(cfg, drive, _make_rhs(cfg, drive), **_lambda_fields(cfg))
-
-    cuts = [cfg.t_start]
-    cuts += [float(b) for b in sorted(breakpoints) if cfg.t_start < float(b) < cfg.t_end]
-    cuts.append(cfg.t_end)
-
-    blocks = []
-    stats = SolverStats()
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        mask = (grid > a) & (grid <= b) if blocks else (grid >= a) & (grid <= b)
-        seg = grid[mask]
-        t_eval = seg if seg.size and seg[-1] == b else np.append(seg, b)
-        samples = step(a, y, t_eval, stats)
-        blocks.append(samples[: seg.size])
-        y = tuple(map(complex, samples[-1]))
-
-    states = np.concatenate(blocks)
+    y0 = (0j, complex(q.alpha), q.beta * cmath.exp(1j * q.phi))
+    drive = envelopes if isinstance(envelopes, Drive) else Drive.from_pulses(cfg.pulses)
+    env = None if isinstance(envelopes, Drive) else envelopes
+    states, stats, engine = _propagate(cfg, drive, y0, grid, env=env, breakpoints=breakpoints)
     populations = np.abs(states) ** 2
     norm_err = float(np.max(np.abs(populations.sum(axis=1) - 1.0)))
     bare = rotated_to_bare(states, grid, cfg)

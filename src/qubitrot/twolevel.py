@@ -18,7 +18,10 @@ A trace term proportional to the identity is dropped; it is a global phase
 and leaves populations and relative phases untouched.
 
 Comparing this reduction against the full three-level integration on the
-same window quantifies where the two-level picture holds.
+same window quantifies where the two-level picture holds. Both run on one
+path: ``dynamics._problem(reduced=True)`` describes the reduced right-hand
+side for the compiled kernel and its Python mirror ``dynamics._rhs``, and
+``dynamics._propagate`` integrates it as it does the Lambda system.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Drive, _stepper, envelope, integrate
+from .dynamics import Drive, _couplings, _propagate, envelope, integrate
 from .errors import UnsupportedRegimeError
 from .types import SimulationConfig, SolverStats, Trajectory
 
@@ -63,13 +66,6 @@ def _check_regime(cfg: SimulationConfig) -> float:
     return delta
 
 
-def _couplings(alpha: float, bplus: complex, w1: complex, w2: complex) -> tuple[complex, complex]:
-    """Effective couplings (f1, f2) of the envelopes (w1, w2); bplus = beta e^{i phi}."""
-    w1c = w1.conjugate()
-    w2c = w2.conjugate()
-    return alpha * w1c + bplus.conjugate() * w2c, bplus * w1c - alpha * w2c
-
-
 def effective_params(t: float, cfg: SimulationConfig) -> EffectiveTwoLevel:
     """Effective couplings f1, f2 and the reduced Rabi rate and detuning at ``t``."""
     delta = _check_regime(cfg)
@@ -97,34 +93,6 @@ class TwoLevelTrajectory:
     engine: str
 
 
-def _make_reduced_rhs(cfg: SimulationConfig):
-    """Closure evaluating (d_i', d_k'), with a third slot that stays zero.
-
-    The stepper integrates three slots; the reduced problem runs on the first
-    two with the third padded by 0j. Raises UnsupportedRegimeError outside the
-    regime of the reduction.
-    """
-    delta = _check_regime(cfg)
-    q = cfg.initial
-    env = Drive.from_pulses(cfg.pulses).evaluator()
-    alpha = q.alpha
-    bplus = q.beta * cmath.exp(1j * q.phi)
-    inv_delta = 1.0 / delta
-
-    def rhs(t, di, dk, _):
-        w1, w2 = env(t)
-        f1, f2 = _couplings(alpha, bplus, w1, w2)
-        omega_e = f1 * f2.conjugate() * inv_delta
-        delta_e = (abs(f1) ** 2 - abs(f2) ** 2) * 0.5 * inv_delta
-        return (
-            -1j * (delta_e * di + omega_e * dk),
-            -1j * (omega_e.conjugate() * di - delta_e * dk),
-            0j,
-        )
-
-    return rhs
-
-
 def integrate_two_level(cfg: SimulationConfig) -> TwoLevelTrajectory:
     """Propagate the reduced problem from (d_i, d_k) = (1, 0).
 
@@ -137,26 +105,16 @@ def integrate_two_level(cfg: SimulationConfig) -> TwoLevelTrajectory:
         d_g = alpha d_i + beta e^{-i phi} d_k,
         d_f = beta e^{i phi} d_i - alpha d_k.
     """
-    rhs = _make_reduced_rhs(cfg)
+    _check_regime(cfg)
     q = cfg.initial
     alpha = q.alpha
     bplus = q.beta * cmath.exp(1j * q.phi)
-    bminus = bplus.conjugate()
     grid = np.linspace(cfg.t_start, cfg.t_end, cfg.samples)
-    stats = SolverStats()
-    engine, step = _stepper(
-        cfg,
-        Drive.from_pulses(cfg.pulses),
-        rhs,
-        n=2,
-        reduced=1,
-        alpha=alpha,
-        bplus_re=bplus.real,
-        bplus_im=bplus.imag,
-        inv_delta=1.0 / cfg.detunings.delta1,
+    states, stats, engine = _propagate(
+        cfg, Drive.from_pulses(cfg.pulses), (1.0 + 0j, 0j, 0j), grid, reduced=True
     )
-    d_i, d_k, _ = step(cfg.t_start, (1.0 + 0j, 0j, 0j), grid, stats).T
-    d_g = alpha * d_i + bminus * d_k
+    d_i, d_k, _ = states.T
+    d_g = alpha * d_i + bplus.conjugate() * d_k
     d_f = bplus * d_i - alpha * d_k
     norm_err = float(np.max(np.abs(np.abs(d_i) ** 2 + np.abs(d_k) ** 2 - 1.0)))
     return TwoLevelTrajectory(

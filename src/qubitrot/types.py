@@ -13,7 +13,7 @@ Conventions used throughout the package:
   ``phi``.
 
 All records are immutable after construction and validate their invariants
-eagerly, so they are safe to share across worker processes.
+eagerly, so they are safe to share across the threads that run a sweep.
 """
 
 from __future__ import annotations

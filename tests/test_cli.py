@@ -411,6 +411,44 @@ SWEEP = ["sweep", "--config", "{input}"]
         pytest.param(
             SOLVE, _problem(grid_points=10**23), 2, "'grid_points'", id="solve-grid_points-1e23"
         ),
+        # counts numpy can index but not allocate: 8 PB exceeds the address
+        # space, so the allocation fails at once
+        pytest.param(
+            ["simulate", "--preset", "fig9", "--samples", str(10**15)], None, 2,
+            "Unable to allocate", id="samples-1e15",
+        ),
+        pytest.param(
+            SIMULATE, f"samples = {10**15}\n", 2, "Unable to allocate", id="samples-key-1e15"
+        ),
+        pytest.param(
+            SWEEP,
+            FAST_BASE + "sweep_parameter = delta_tau\nsweep_start = 30\nsweep_stop = 60\n"
+            f"sweep_points = {10**15}\n",
+            2,
+            "Unable to allocate",
+            id="sweep_points-1e15",
+        ),
+        pytest.param(
+            ["sweep", "--preset", "fig7", "--grid-points", str(10**15)], None, 2,
+            "Unable to allocate", id="grid-points-1e15",
+        ),
+        pytest.param(
+            SOLVE, _problem(grid_points=10**15), 2, "Unable to allocate",
+            id="solve-grid_points-1e15",
+        ),
+        # a JSON document that repeats a key, at any depth
+        pytest.param(
+            SIMULATE, '{"alpha": 1.0, "alpha": 0.5}', 2, ": duplicate key 'alpha'",
+            id="json-config-duplicate",
+        ),
+        pytest.param(
+            SIMULATE, '{"command": "simulate", "config": {"samples": 11, "samples": 21}}', 2,
+            ": duplicate key 'samples'", id="manifest-duplicate",
+        ),
+        pytest.param(
+            SOLVE, _problem()[:-1] + ', "free_parameters": {"delta_tau": [30.0, 35.0]}}', 2,
+            ": duplicate key 'free_parameters'", id="problem-duplicate",
+        ),
         pytest.param(
             [*SWEEP, "--grid-points", "0"],
             FAST_BASE + "sweep_parameter = delta_tau\nsweep_grid = 30, 60\n",

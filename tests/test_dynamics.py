@@ -34,7 +34,7 @@ from qubitrot import (
 )
 import qubitrot
 from qubitrot import _kernel, cli
-from qubitrot.dynamics import Drive, _make_rhs
+from qubitrot.dynamics import Drive, _problem, _rhs
 from oracles import rk4_final_state
 
 T_DEFAULT = 4.0 / 3.0
@@ -321,7 +321,8 @@ class TestIntegrate:
         cfg = _cfg(delta_tau=45.0, omega01=3.0, omega02=3.0, **chirp)
         cfg = cfg.with_(t_start=-4.0, t_end=6.0)
         traj = integrate(cfg)
-        rhs = _make_rhs(cfg, None)
+        drive = Drive.from_pulses(cfg.pulses)
+        rhs = _rhs(_problem(cfg, drive), drive.evaluator())
         ref = solve_ivp(
             lambda t, y: rhs(t, *y),
             (cfg.t_start, cfg.t_end),
@@ -369,9 +370,11 @@ def _on_python_stepper(cfg: SimulationConfig, drive: Drive, **kw):
 
 class TestEngines:
     @pytest.mark.parametrize("name", PRESET_NAMES)
-    def test_presets(self, kernel, name):
+    def test_presets(self, kernel, monkeypatch, name):
         cfg = preset_base(name)
-        _assert_same_run(integrate(cfg), _on_python_stepper(cfg, Drive.from_pulses(cfg.pulses)))
+        compiled = integrate(cfg)
+        monkeypatch.setattr(_kernel, "_library", None)
+        _assert_same_run(compiled, integrate(cfg))
 
     @pytest.mark.parametrize("delta", [0.7, -2.1])
     def test_relative_pulse_phase(self, kernel, delta):
