@@ -1,23 +1,20 @@
-/* Compiled engine of qubitrot: the Dormand-Prince 5(4) stepper of
- * dynamics._dopri45 and rhs(), the right-hand side a problem describes: the
- * three-level Lambda system or its reduced two-level problem. The problem is
- * built by dynamics._problem; dynamics._rhs is the Python mirror of rhs(),
- * branch for branch, and dynamics._propagate runs one engine or the other.
+/* Compiled engine of qubitrot: rhs(), the right-hand side that a problem from
+ * dynamics._problem describes (the Lambda system or its two-level reduction;
+ * dynamics._rhs mirrors it), and qr_dopri45, the stepper of dynamics._dopri45
+ * on the same Dormand-Prince tables, summed by one fold in the same order.
  *
  * Every complex operation is written as CPython 3.11 performs it on Python
  * complex numbers (_Py_c_sum, _Py_c_diff, _Py_c_prod, hypot for abs), a real
- * operand is promoted to (x, 0.0) wherever Python promotes it, min and max
- * keep their first argument on a tie, and powers go through pow. With
- * floating-point contraction and builtins off (see _kernel.py), the kernel
- * then takes the same steps and gives the same bits as the Python stepper.
- * Keep that operation order when editing, in both files.
+ * operand is promoted to (x, 0.0) wherever Python promotes it (Python 3.14
+ * stops promoting it in mixed complex arithmetic), min and max keep their
+ * first argument on a tie, and powers go through pow. With floating-point
+ * contraction and builtins off (see _kernel.py), the kernel then takes the
+ * same steps and gives the same bits as the Python stepper. Keep that
+ * operation order when editing, in both files.
  *
- * The file also holds the CSV writer of cli._table_lines, qr_format_rows,
- * whose every cell is byte-identical to Python's "%.17g" % x. It uses exact
- * integer arithmetic for every finite |x| < 2^63 and snprintf only for larger
- * values and infinities, so the complex operation order above, and its caveat
- * that Python 3.14 stops promoting a float in mixed complex arithmetic, do not
- * apply to it.
+ * qr_format_rows, the CSV writer of cli._table_lines, writes each cell as
+ * Python's "%.17g" % x, byte for byte, with exact integer arithmetic for every
+ * finite |x| < 2^63 and snprintf beyond, so none of the above applies to it.
  */
 
 #include <math.h>
@@ -134,6 +131,51 @@ static double rms(const cx *z, double rn)
 
 #define SLOTS for (int s = 0; s < 3; s++)
 
+/* dynamics._NODES, _STAGES, _SOLUTION, _ERROR and _DENSE: each term is
+ * (stage, coefficient, sign), and a sign of -1.0 marks a subtracted term. */
+typedef struct { int k; double c, sign; } term;
+typedef struct { int n; term t[6]; } row;
+
+static const double NODES[5] = {1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0};
+static const row STAGES[5] = {
+    {1, {{0, 1.0 / 5.0, 1}}},
+    {2, {{0, 3.0 / 40.0, 1}, {1, 9.0 / 40.0, 1}}},
+    {3, {{0, 44.0 / 45.0, 1}, {1, 56.0 / 15.0, -1}, {2, 32.0 / 9.0, 1}}},
+    {4, {{0, 19372.0 / 6561.0, 1}, {1, 25360.0 / 2187.0, -1}, {2, 64448.0 / 6561.0, 1},
+         {3, 212.0 / 729.0, -1}}},
+    {5, {{0, 9017.0 / 3168.0, 1}, {1, 355.0 / 33.0, -1}, {2, 46732.0 / 5247.0, 1},
+         {3, 49.0 / 176.0, 1}, {4, 5103.0 / 18656.0, -1}}},
+};
+static const row SOLUTION = {5, {{0, 35.0 / 384.0, 1}, {2, 500.0 / 1113.0, 1},
+    {3, 125.0 / 192.0, 1}, {4, 2187.0 / 6784.0, -1}, {5, 11.0 / 84.0, 1}}};
+static const row ERROR = {6, {{0, -71.0 / 57600.0, 1}, {2, 71.0 / 16695.0, 1},
+    {3, 71.0 / 1920.0, -1}, {4, 17253.0 / 339200.0, 1}, {5, 22.0 / 525.0, -1}, {6, 1.0 / 40.0, 1}}};
+static const row DENSE[3] = {
+    {6, {{0, -8048581381.0 / 2820520608.0, 1}, {2, 131558114200.0 / 32700410799.0, 1},
+         {3, -1754552775.0 / 470086768.0, 1}, {4, 127303824393.0 / 49829197408.0, 1},
+         {5, -282668133.0 / 205662961.0, 1}, {6, 40617522.0 / 29380423.0, 1}}},
+    {6, {{0, 8663915743.0 / 2820520608.0, 1}, {2, -68118460800.0 / 10900136933.0, 1},
+         {3, 14199869525.0 / 1410260304.0, 1}, {4, -318862633887.0 / 49829197408.0, 1},
+         {5, 2019193451.0 / 616988883.0, 1}, {6, -110615467.0 / 29380423.0, 1}}},
+    {6, {{0, -12715105075.0 / 11282082432.0, 1}, {2, 87487479700.0 / 32700410799.0, 1},
+         {3, -10690763975.0 / 1880347072.0, 1}, {4, 701980252875.0 / 199316789632.0, 1},
+         {5, -1453857185.0 / 822651844.0, 1}, {6, 69997945.0 / 29380423.0, 1}}},
+};
+
+/* Row r over slot s of the stages k, summed left to right from its first term, which
+ * carries its sign. A subtracted term is added times -1.0, an exact negation, as IEEE
+ * defines a - b as a + (-b); unrolled and inlined, the sign multiplies fold away. */
+static inline __attribute__((always_inline)) cx fold(const row *r, const cx k[7][3], int s)
+{
+    cx acc = rmul(r->t[0].c, k[r->t[0].k][s]);
+#pragma GCC unroll 6
+    for (int i = 1; i < r->n; i++) {
+        const cx v = rmul(r->t[i].c, k[r->t[i].k][s]);
+        acc = add(acc, (cx){r->t[i].sign * v.re, r->t[i].sign * v.im});
+    }
+    return acc;
+}
+
 enum { QR_OK = 0, QR_UNDERFLOW = 1, QR_DRIFT = 2 };
 
 /* Integrates from y0 at t through t_eval[0..m-1] (increasing, the last entry
@@ -145,41 +187,26 @@ int qr_dopri45(const problem *p, int64_t n, double t, const double *y0, const do
                int64_t m, double rel_tol, double abs_tol, double drift_limit, double *out,
                int64_t *counts, double *min_step_io, double *fail)
 {
-    /* dynamics._DENSE: the quartic dense output's weights of stages 1, 3-7 */
-    static const double D[3][6] = {
-        {-8048581381.0 / 2820520608.0, 131558114200.0 / 32700410799.0,
-         -1754552775.0 / 470086768.0, 127303824393.0 / 49829197408.0,
-         -282668133.0 / 205662961.0, 40617522.0 / 29380423.0},
-        {8663915743.0 / 2820520608.0, -68118460800.0 / 10900136933.0,
-         14199869525.0 / 1410260304.0, -318862633887.0 / 49829197408.0,
-         2019193451.0 / 616988883.0, -110615467.0 / 29380423.0},
-        {-12715105075.0 / 11282082432.0, 87487479700.0 / 32700410799.0,
-         -10690763975.0 / 1880347072.0, 701980252875.0 / 199316789632.0,
-         -1453857185.0 / 822651844.0, 69997945.0 / 29380423.0},
-    };
     const double t_end = t_eval[m - 1];
     const double rn = pow((double)n, 0.5);
-    cx y[3], yn[3], k1[3], k2[3], k3[3], k4[3], k5[3], k6[3], k7[3], z[3], f[3], a[3];
+    cx y[3], yn[3], k[7][3], z[3], f[3], a[3];
     double w[3];
     int64_t j = 0;
 
     SLOTS y[s] = (cx){y0[2 * s], y0[2 * s + 1]};
-    rhs(p, t, y, k1);
+    rhs(p, t, y, k[0]);
     SLOTS w[s] = 1.0 / (abs_tol + cabs_(y[s]) * rel_tol);
     SLOTS z[s] = rmul(w[s], y[s]);
     const double d0 = rms(z, rn);
-    SLOTS z[s] = rmul(w[s], k1[s]);
+    SLOTS z[s] = rmul(w[s], k[0][s]);
     const double d1 = rms(z, rn);
     const double h0 = min2(d0 < 1e-5 || d1 < 1e-5 ? 1e-6 : 0.01 * d0 / d1, t_end - t);
-    SLOTS a[s] = add(y[s], rmul(h0, k1[s]));
+    SLOTS a[s] = add(y[s], rmul(h0, k[0][s]));
     rhs(p, t + h0, a, f);
-    SLOTS z[s] = rmul(w[s], sub(f[s], k1[s]));
+    SLOTS z[s] = rmul(w[s], sub(f[s], k[0][s]));
     const double d2 = rms(z, rn) / h0;
-    double h1;
-    if (d1 <= 1e-15 && d2 <= 1e-15)
-        h1 = max2(1e-6, h0 * 1e-3);
-    else
-        h1 = pow(0.01 / max2(d1, d2), 0.2);
+    const double h1 =
+        d1 <= 1e-15 && d2 <= 1e-15 ? max2(1e-6, h0 * 1e-3) : pow(0.01 / max2(d1, d2), 0.2);
     double h_abs = min2(min2(100 * h0, h1), t_end - t);
     counts[0] += 2;
 
@@ -196,41 +223,16 @@ int qr_dopri45(const problem *p, int64_t n, double t, const double *y0, const do
             }
             t_new = min2(t + h_abs, t_end);
             h = h_abs = t_new - t;
-            SLOTS a[s] = add(y[s], rmul(h, rmul(1.0 / 5.0, k1[s])));
-            rhs(p, t + 1.0 / 5.0 * h, a, k2);
-            SLOTS a[s] = add(y[s], rmul(h, add(rmul(3.0 / 40.0, k1[s]), rmul(9.0 / 40.0, k2[s]))));
-            rhs(p, t + 3.0 / 10.0 * h, a, k3);
-            SLOTS a[s] = add(y[s], rmul(h, add(sub(rmul(44.0 / 45.0, k1[s]),
-                                                   rmul(56.0 / 15.0, k2[s])),
-                                               rmul(32.0 / 9.0, k3[s]))));
-            rhs(p, t + 4.0 / 5.0 * h, a, k4);
-            SLOTS a[s] = add(y[s], rmul(h, sub(add(sub(rmul(19372.0 / 6561.0, k1[s]),
-                                                       rmul(25360.0 / 2187.0, k2[s])),
-                                                   rmul(64448.0 / 6561.0, k3[s])),
-                                               rmul(212.0 / 729.0, k4[s]))));
-            rhs(p, t + 8.0 / 9.0 * h, a, k5);
-            SLOTS a[s] = add(y[s], rmul(h, sub(add(add(sub(rmul(9017.0 / 3168.0, k1[s]),
-                                                           rmul(355.0 / 33.0, k2[s])),
-                                                       rmul(46732.0 / 5247.0, k3[s])),
-                                                   rmul(49.0 / 176.0, k4[s])),
-                                               rmul(5103.0 / 18656.0, k5[s]))));
-            rhs(p, t + h, a, k6);
-            SLOTS yn[s] = add(y[s], rmul(h, add(sub(add(add(rmul(35.0 / 384.0, k1[s]),
-                                                            rmul(500.0 / 1113.0, k3[s])),
-                                                        rmul(125.0 / 192.0, k4[s])),
-                                                    rmul(2187.0 / 6784.0, k5[s])),
-                                                rmul(11.0 / 84.0, k6[s]))));
-            rhs(p, t + h, yn, k7);
-            counts[0] += 6;
-            SLOTS {
-                cx e = add(sub(add(sub(add(rmul(-71.0 / 57600.0, k1[s]), rmul(71.0 / 16695.0, k3[s])),
-                                       rmul(71.0 / 1920.0, k4[s])),
-                                   rmul(17253.0 / 339200.0, k5[s])),
-                               rmul(22.0 / 525.0, k6[s])),
-                           rmul(1.0 / 40.0, k7[s]));
-                double scale = 1.0 / (abs_tol + max2(cabs_(y[s]), cabs_(yn[s])) * rel_tol);
-                z[s] = rmul(scale, rmul(h, e));
+#pragma GCC unroll 5
+            for (int i = 0; i < 5; i++) {
+                SLOTS a[s] = add(y[s], rmul(h, fold(&STAGES[i], k, s)));
+                rhs(p, t + NODES[i] * h, a, k[i + 1]);
             }
+            SLOTS yn[s] = add(y[s], rmul(h, fold(&SOLUTION, k, s)));
+            rhs(p, t + h, yn, k[6]);
+            counts[0] += 6;
+            SLOTS z[s] = rmul(1.0 / (abs_tol + max2(cabs_(y[s]), cabs_(yn[s])) * rel_tol),
+                              rmul(h, fold(&ERROR, k, s)));
             const double error = rms(z, rn);
             if (error < 1) {
                 double factor = error == 0 ? 10.0 : min2(10.0, 0.9 * pow(error, -0.2));
@@ -245,19 +247,16 @@ int qr_dopri45(const problem *p, int64_t n, double t, const double *y0, const do
         *min_step_io = min2(*min_step_io, h);
 
         if (j < m && t_eval[j] <= t_new) {
-            /* coefficients of the quartic dense output (Shampine 1986) */
+            /* coefficients of x^2..x^4 of the quartic dense output */
             cx q[3][3];
+#pragma GCC unroll 3
             for (int i = 0; i < 3; i++)
-                SLOTS q[i][s] = add(add(add(add(add(rmul(D[i][0], k1[s]), rmul(D[i][1], k3[s])),
-                                                rmul(D[i][2], k4[s])),
-                                            rmul(D[i][3], k5[s])),
-                                        rmul(D[i][4], k6[s])),
-                                    rmul(D[i][5], k7[s]));
+                SLOTS q[i][s] = fold(&DENSE[i], k, s);
             while (j < m && t_eval[j] <= t_new) {
                 const double x = (t_eval[j] - t) / h;
                 const double x2 = x * x, x3 = x2 * x, x4 = x3 * x;
                 cx sv[3];
-                SLOTS sv[s] = add(y[s], rmul(h, add(add(add(rmul(x, k1[s]), rmul(x2, q[0][s])),
+                SLOTS sv[s] = add(y[s], rmul(h, add(add(add(rmul(x, k[0][s]), rmul(x2, q[0][s])),
                                                         rmul(x3, q[1][s])),
                                                     rmul(x4, q[2][s]))));
                 const double drift = sv[0].re * sv[0].re + sv[0].im * sv[0].im +
@@ -278,7 +277,7 @@ int qr_dopri45(const problem *p, int64_t n, double t, const double *y0, const do
         t = t_new;
         SLOTS {
             y[s] = yn[s];
-            k1[s] = k7[s];
+            k[0][s] = k[6][s];
         }
     }
     return QR_OK;

@@ -10,8 +10,9 @@ engine. It also formats numeric CSV tables cell by cell exactly as
 with the system C compiler into the package's own ``__pycache__``, under a
 name that carries a hash of the source and the flags; later processes load
 that file. If there is no compiler, the directory is not writable or the
-library does not load, :func:`library` returns None for the rest of the
-process and callers fall back to ``_dopri45`` and to Python's formatting.
+library does not load, :func:`library` logs one warning, returns None for
+the rest of the process, and callers fall back to ``_dopri45`` and to Python's
+formatting.
 """
 
 from __future__ import annotations
@@ -130,7 +131,11 @@ def library() -> ctypes.CDLL | None:
                 try:
                     _library = load(compile_library())
                 except (OSError, subprocess.SubprocessError) as exc:
-                    log.debug("compiled kernel unavailable, using the Python stepper: %s", exc)
+                    log.warning(
+                        "compiled kernel unavailable (%s); this process integrates with the "
+                        "Python stepper, which is much slower",
+                        exc,
+                    )
                     _library = None
     return _library
 

@@ -278,6 +278,11 @@ def sweep_csv_lines(result: sweeps.SweepResult) -> list[str]:
     return _config_comment_lines(spec.base, extra) + _table_lines(header, columns)
 
 
+def _finite_or_none(x: float | None) -> float | None:
+    # JSON (RFC 8259) has no NaN or infinity: such a value is written as null
+    return x if x is None or math.isfinite(x) else None
+
+
 def sweep_json_doc(result: sweeps.SweepResult) -> dict:
     return {
         "command": "sweep",
@@ -289,12 +294,12 @@ def sweep_json_doc(result: sweeps.SweepResult) -> dict:
         "results": [
             {
                 "value": pt.value if isinstance(pt.value, str) else float(pt.value),
-                "p_e": pt.p_e,
-                "p_g": pt.p_g,
-                "p_f": pt.p_f,
-                "cos_phi": pt.cos_phi,
-                "phi_signed": pt.phi_signed,
-                "nonadiabaticity": pt.nonadiabaticity,
+                "p_e": _finite_or_none(pt.p_e),
+                "p_g": _finite_or_none(pt.p_g),
+                "p_f": _finite_or_none(pt.p_f),
+                "cos_phi": _finite_or_none(pt.cos_phi),
+                "phi_signed": _finite_or_none(pt.phi_signed),
+                "nonadiabaticity": _finite_or_none(pt.nonadiabaticity),
                 "error": pt.error,
             }
             for pt in result.points

@@ -23,10 +23,10 @@ recovering the bare relative phase requires undoing the frame, see
 Integration uses the package's own Dormand-Prince 5(4) stepper (Dormand &
 Prince, J. Comput. Appl. Math. 6, 19 (1980)) with the step control and
 4th-order dense output of Hairer, Norsett & Wanner, Solving ODEs I,
-sec. II.4-II.6. It is written out as straight-line code over three complex
-scalar slots, one expression per slot for each stage sum, the error norm and
-the dense output. It takes the same steps as scipy's RK45 only while each sum
-and product keeps scipy's operation order.
+sec. II.4-II.6, over three complex scalar slots. Its coefficients are one
+table of rows, and one fold sums every stage, the 5th-order solution, the
+error estimate and the dense output from them. It takes the same steps as
+scipy's RK45 only while each sum and product keeps scipy's operation order.
 
 A run's right-hand side is described once, by the ``_kernel.Problem`` of
 :func:`_problem`: the Lambda system above, or the two-level reduction of
@@ -279,35 +279,58 @@ def _rhs(prob, env: EnvelopePair):
     return rhs
 
 
-# Columns 1-3 of the quartic dense-output matrix of the Dormand-Prince pair
-# (Shampine, Math. Comp. 46, 135 (1986)), as weights of stages
-# (1, 3, 4, 5, 6, 7); column 0 is stage 1 alone.
-_DENSE = (
+# The Dormand-Prince 5(4) pair (Hairer, Norsett & Wanner I, table II.5.2) as
+# rows of (stage, coefficient, negate) terms over the stages k[0..6], which
+# _fold sums left to right from the first term; that term carries its sign.
+# Row i of _STAGES builds stage k[i + 1] at node _NODES[i] (c2..c6). _DENSE
+# holds columns 1-3 of the quartic dense-output matrix (Shampine, Math. Comp.
+# 46, 135 (1986)), the coefficients of x^2..x^4; column 0 is k[0] alone.
+_NODES = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_STAGES = (
+    ((0, 1 / 5, 0),),
+    ((0, 3 / 40, 0), (1, 9 / 40, 0)),
+    ((0, 44 / 45, 0), (1, 56 / 15, 1), (2, 32 / 9, 0)),
+    ((0, 19372 / 6561, 0), (1, 25360 / 2187, 1), (2, 64448 / 6561, 0), (3, 212 / 729, 1)),
     (
-        -8048581381 / 2820520608,
-        131558114200 / 32700410799,
-        -1754552775 / 470086768,
-        127303824393 / 49829197408,
-        -282668133 / 205662961,
-        40617522 / 29380423,
+        (0, 9017 / 3168, 0), (1, 355 / 33, 1), (2, 46732 / 5247, 0), (3, 49 / 176, 0),
+        (4, 5103 / 18656, 1),
     ),
-    (
-        8663915743 / 2820520608,
-        -68118460800 / 10900136933,
-        14199869525 / 1410260304,
-        -318862633887 / 49829197408,
-        2019193451 / 616988883,
-        -110615467 / 29380423,
-    ),
-    (
-        -12715105075 / 11282082432,
-        87487479700 / 32700410799,
-        -10690763975 / 1880347072,
-        701980252875 / 199316789632,
-        -1453857185 / 822651844,
-        69997945 / 29380423,
-    ),
-)
+)  # fmt: skip
+_SOLUTION = (
+    (0, 35 / 384, 0), (2, 500 / 1113, 0), (3, 125 / 192, 0), (4, 2187 / 6784, 1), (5, 11 / 84, 0),
+)  # fmt: skip
+_ERROR = (
+    (0, -71 / 57600, 0), (2, 71 / 16695, 0), (3, 71 / 1920, 1), (4, 17253 / 339200, 0),
+    (5, 22 / 525, 1), (6, 1 / 40, 0),
+)  # fmt: skip
+_DENSE = tuple(
+    tuple(zip((0, 2, 3, 4, 5, 6), column, (0,) * 6))
+    for column in (
+        (-8048581381 / 2820520608, 131558114200 / 32700410799, -1754552775 / 470086768,
+         127303824393 / 49829197408, -282668133 / 205662961, 40617522 / 29380423),
+        (8663915743 / 2820520608, -68118460800 / 10900136933, 14199869525 / 1410260304,
+         -318862633887 / 49829197408, 2019193451 / 616988883, -110615467 / 29380423),
+        (-12715105075 / 11282082432, 87487479700 / 32700410799, -10690763975 / 1880347072,
+         701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423),
+    )
+)  # fmt: skip
+
+
+def _fold(terms, k):
+    # one row summed over the three slots of the stages k. A negated term is
+    # subtracted: adding (-c) * k instead can flip the sign of an exact zero,
+    # as Python promotes -c to the complex (-c, 0.0).
+    terms = iter(terms)
+    s, c, _ = next(terms)
+    ka, kb, kc = k[s]
+    a, b, d = c * ka, c * kb, c * kc
+    for s, c, negate in terms:
+        ka, kb, kc = k[s]
+        if negate:
+            a, b, d = a - c * ka, b - c * kb, d - c * kc
+        else:
+            a, b, d = a + c * ka, b + c * kb, d + c * kc
+    return a, b, d
 
 
 def _rms(za: complex, zb: complex, zc: complex, rn: float) -> float:
@@ -327,9 +350,10 @@ def _dopri45(
     """Dormand-Prince 5(4) from state ``y`` at ``t`` through the times ``t_eval``.
 
     The state is three complex scalars (a, b, c), and ``rhs(t, a, b, c)``
-    returns their three derivatives; the stepper is written out slot by slot
-    rather than over a sequence. ``n`` is the number of slots that count in
-    the RMS error norm, i.e. its divisor: a two-component system runs with an
+    returns their three derivatives. Every stage, the 5th-order solution, the
+    error estimate and the dense output is one row of the tables above,
+    summed by :func:`_fold`. ``n`` is the number of slots that count in the
+    RMS error norm, i.e. its divisor: a two-component system runs with an
     identically zero third slot and ``n=2``, and since adding 0.0 to a sum of
     squares is exact it takes the steps it would take on two slots.
     ``t_eval`` is increasing, lies in [t, t_eval[-1]], and its last entry is
@@ -343,8 +367,7 @@ def _dopri45(
     Every sum and product runs in the order scipy's RK45 computes it, so both
     take the same steps and give the same states; that holds only while the
     order is kept, so keep it when editing, here and in ``_kernel.c``, which
-    follows this function line for line. The stepper's work is added to
-    ``stats``.
+    holds the same tables and fold. The stepper's work is added to ``stats``.
 
     Raises IntegrationError at the time of failure if the step underflows, or
     if a sample's |norm^2 - 1| exceeds NORM_DRIFT_LIMIT (the flows integrated
@@ -352,13 +375,9 @@ def _dopri45(
     """
     t_end = t_eval[-1]
     rn = n**0.5
-    (
-        (w21, w23, w24, w25, w26, w27),
-        (w31, w33, w34, w35, w36, w37),
-        (w41, w43, w44, w45, w46, w47),
-    ) = _DENSE
     ya, yb, yc = y
-    k1a, k1b, k1c = rhs(t, ya, yb, yc)
+    k = [rhs(t, ya, yb, yc)] * 7
+    k1a, k1b, k1c = k[0]
     ia = 1.0 / (abs_tol + abs(ya) * rel_tol)
     ib = 1.0 / (abs_tol + abs(yb) * rel_tol)
     ic = 1.0 / (abs_tol + abs(yc) * rel_tol)
@@ -386,126 +405,20 @@ def _dopri45(
                 raise IntegrationError("step size fell below 10 ulp of t", t)
             t_new = min(t + h_abs, t_end)
             h = h_abs = t_new - t
-            k2a, k2b, k2c = rhs(
-                t + 1 / 5 * h,
-                ya + (1 / 5 * k1a) * h,
-                yb + (1 / 5 * k1b) * h,
-                yc + (1 / 5 * k1c) * h,
-            )
-            k3a, k3b, k3c = rhs(
-                t + 3 / 10 * h,
-                ya + (3 / 40 * k1a + 9 / 40 * k2a) * h,
-                yb + (3 / 40 * k1b + 9 / 40 * k2b) * h,
-                yc + (3 / 40 * k1c + 9 / 40 * k2c) * h,
-            )
-            k4a, k4b, k4c = rhs(
-                t + 4 / 5 * h,
-                ya + (44 / 45 * k1a - 56 / 15 * k2a + 32 / 9 * k3a) * h,
-                yb + (44 / 45 * k1b - 56 / 15 * k2b + 32 / 9 * k3b) * h,
-                yc + (44 / 45 * k1c - 56 / 15 * k2c + 32 / 9 * k3c) * h,
-            )
-            k5a, k5b, k5c = rhs(
-                t + 8 / 9 * h,
-                ya
-                + (19372 / 6561 * k1a - 25360 / 2187 * k2a + 64448 / 6561 * k3a - 212 / 729 * k4a)
-                * h,
-                yb
-                + (19372 / 6561 * k1b - 25360 / 2187 * k2b + 64448 / 6561 * k3b - 212 / 729 * k4b)
-                * h,
-                yc
-                + (19372 / 6561 * k1c - 25360 / 2187 * k2c + 64448 / 6561 * k3c - 212 / 729 * k4c)
-                * h,
-            )
-            k6a, k6b, k6c = rhs(
-                t + h,
-                ya
-                + (
-                    9017 / 3168 * k1a
-                    - 355 / 33 * k2a
-                    + 46732 / 5247 * k3a
-                    + 49 / 176 * k4a
-                    - 5103 / 18656 * k5a
-                )
-                * h,
-                yb
-                + (
-                    9017 / 3168 * k1b
-                    - 355 / 33 * k2b
-                    + 46732 / 5247 * k3b
-                    + 49 / 176 * k4b
-                    - 5103 / 18656 * k5b
-                )
-                * h,
-                yc
-                + (
-                    9017 / 3168 * k1c
-                    - 355 / 33 * k2c
-                    + 46732 / 5247 * k3c
-                    + 49 / 176 * k4c
-                    - 5103 / 18656 * k5c
-                )
-                * h,
-            )
-            na = ya + h * (
-                35 / 384 * k1a
-                + 500 / 1113 * k3a
-                + 125 / 192 * k4a
-                - 2187 / 6784 * k5a
-                + 11 / 84 * k6a
-            )
-            nb = yb + h * (
-                35 / 384 * k1b
-                + 500 / 1113 * k3b
-                + 125 / 192 * k4b
-                - 2187 / 6784 * k5b
-                + 11 / 84 * k6b
-            )
-            nc = yc + h * (
-                35 / 384 * k1c
-                + 500 / 1113 * k3c
-                + 125 / 192 * k4c
-                - 2187 / 6784 * k5c
-                + 11 / 84 * k6c
-            )
-            k7a, k7b, k7c = rhs(t + h, na, nb, nc)
+            for i, (node, row) in enumerate(zip(_NODES, _STAGES), 1):
+                sa, sb, sc = _fold(row, k)
+                k[i] = rhs(t + node * h, ya + sa * h, yb + sb * h, yc + sc * h)
+            sa, sb, sc = _fold(_SOLUTION, k)
+            na, nb, nc = ya + h * sa, yb + h * sb, yc + h * sc
+            k[6] = rhs(t + h, na, nb, nc)
             stats.rhs_evals += 6
-            za = (
-                (
-                    -71 / 57600 * k1a
-                    + 71 / 16695 * k3a
-                    - 71 / 1920 * k4a
-                    + 17253 / 339200 * k5a
-                    - 22 / 525 * k6a
-                    + 1 / 40 * k7a
-                )
-                * h
-                * (1.0 / (abs_tol + max(abs(ya), abs(na)) * rel_tol))
+            ea, eb, ec = _fold(_ERROR, k)
+            error = _rms(
+                ea * h * (1.0 / (abs_tol + max(abs(ya), abs(na)) * rel_tol)),
+                eb * h * (1.0 / (abs_tol + max(abs(yb), abs(nb)) * rel_tol)),
+                ec * h * (1.0 / (abs_tol + max(abs(yc), abs(nc)) * rel_tol)),
+                rn,
             )
-            zb = (
-                (
-                    -71 / 57600 * k1b
-                    + 71 / 16695 * k3b
-                    - 71 / 1920 * k4b
-                    + 17253 / 339200 * k5b
-                    - 22 / 525 * k6b
-                    + 1 / 40 * k7b
-                )
-                * h
-                * (1.0 / (abs_tol + max(abs(yb), abs(nb)) * rel_tol))
-            )
-            zc = (
-                (
-                    -71 / 57600 * k1c
-                    + 71 / 16695 * k3c
-                    - 71 / 1920 * k4c
-                    + 17253 / 339200 * k5c
-                    - 22 / 525 * k6c
-                    + 1 / 40 * k7c
-                )
-                * h
-                * (1.0 / (abs_tol + max(abs(yc), abs(nc)) * rel_tol))
-            )
-            error = _rms(za, zb, zc, rn)
             if error < 1:
                 factor = 10.0 if error == 0 else min(10.0, 0.9 * error**-0.2)
                 h_abs *= min(1.0, factor) if rejected else factor
@@ -517,25 +430,17 @@ def _dopri45(
         stats.min_step = min(stats.min_step, h)
 
         if j < m and t_eval[j] <= t_new:
-            # coefficients of the quartic dense output (Shampine 1986); w<i><s>
-            # weighs stage s in the coefficient of x^i
-            q2a = w21 * k1a + w23 * k3a + w24 * k4a + w25 * k5a + w26 * k6a + w27 * k7a
-            q2b = w21 * k1b + w23 * k3b + w24 * k4b + w25 * k5b + w26 * k6b + w27 * k7b
-            q2c = w21 * k1c + w23 * k3c + w24 * k4c + w25 * k5c + w26 * k6c + w27 * k7c
-            q3a = w31 * k1a + w33 * k3a + w34 * k4a + w35 * k5a + w36 * k6a + w37 * k7a
-            q3b = w31 * k1b + w33 * k3b + w34 * k4b + w35 * k5b + w36 * k6b + w37 * k7b
-            q3c = w31 * k1c + w33 * k3c + w34 * k4c + w35 * k5c + w36 * k6c + w37 * k7c
-            q4a = w41 * k1a + w43 * k3a + w44 * k4a + w45 * k5a + w46 * k6a + w47 * k7a
-            q4b = w41 * k1b + w43 * k3b + w44 * k4b + w45 * k5b + w46 * k6b + w47 * k7b
-            q4c = w41 * k1c + w43 * k3c + w44 * k4c + w45 * k5c + w46 * k6c + w47 * k7c
+            # the dense output's coefficients of x, x^2, x^3 and x^4
+            q = [k[0], *(_fold(row, k) for row in _DENSE)]
             while j < m and t_eval[j] <= t_new:
                 x = (t_eval[j] - t) / h
                 x2 = x * x
                 x3 = x2 * x
                 x4 = x3 * x
-                sa = ya + h * (k1a * x + q2a * x2 + q3a * x3 + q4a * x4)
-                sb = yb + h * (k1b * x + q2b * x2 + q3b * x3 + q4b * x4)
-                sc = yc + h * (k1c * x + q2c * x2 + q3c * x3 + q4c * x4)
+                sa, sb, sc = (
+                    y_ + h * (q1 * x + q2 * x2 + q3 * x3 + q4 * x4)
+                    for y_, q1, q2, q3, q4 in zip((ya, yb, yc), *q)
+                )
                 drift = (
                     sa.real * sa.real
                     + sa.imag * sa.imag
@@ -550,7 +455,7 @@ def _dopri45(
                 out.append((sa, sb, sc))
                 j += 1
         t, ya, yb, yc = t_new, na, nb, nc
-        k1a, k1b, k1c = k7a, k7b, k7c
+        k[0] = k[6]
     return out
 
 

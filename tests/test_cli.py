@@ -168,6 +168,24 @@ class TestSweep:
         assert doc["spec"]["parameter"] == "delta_tau"
         assert len(doc["results"]) == 3
 
+    def test_failed_points_are_null_in_a_strict_json_manifest(self, tmp_path):
+        # both points exceed the norm-drift limit, so their observables are NaN
+        cfg = _write(
+            tmp_path, "loose.cfg", "rel_tol = 0.01\nsweep_parameter = delta_tau\nsweep_grid = 30, 60\n"
+        )
+        out = tmp_path / "loose.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON (RFC 8259)")
+
+        text = out.with_suffix(".manifest.json").read_text()
+        results = json.loads(text, parse_constant=reject)["results"]
+        assert [pt["error"] is not None for pt in results] == [True, True]
+        for pt in results:
+            for key in ("p_e", "p_g", "p_f", "cos_phi", "phi_signed", "nonadiabaticity"):
+                assert pt[key] is None
+
     def test_preset_sweep_with_resampled_grid(self, tmp_path):
         out = tmp_path / "fig7.csv"
         rc = main(["sweep", "--preset", "fig7", "--grid-points", "5", "--out", str(out)])

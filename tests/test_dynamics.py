@@ -34,7 +34,7 @@ from qubitrot import (
 )
 import qubitrot
 from qubitrot import _kernel, cli
-from qubitrot.dynamics import Drive, _problem, _rhs
+from qubitrot.dynamics import _DENSE, _ERROR, _NODES, _SOLUTION, _STAGES, Drive, _problem, _rhs
 from oracles import rk4_final_state
 
 T_DEFAULT = 4.0 / 3.0
@@ -199,6 +199,32 @@ class TestGenerator:
         off = h - np.diag(np.diag(h))
         assert np.max(np.abs(off - off.conj().T)) <= 1e-14
         assert np.max(np.abs(np.diag(h).imag)) <= 1e-14
+
+
+def _weights(row):
+    """The signed coefficient of each of the seven stages in one stepper row."""
+    w = [0.0] * 7
+    for stage, c, negate in row:
+        w[stage] += -c if negate else c
+    return w
+
+
+def _tableau_cases():
+    # each consistency condition of the pair as (value, target, tolerance)
+    for i, (node, row) in enumerate(zip(_NODES, _STAGES)):
+        yield pytest.param(sum(_weights(row)), node, 4 * math.ulp(node), id=f"c{i + 2}")
+    yield pytest.param(sum(_weights(_SOLUTION)), 1.0, 2 * math.ulp(1.0), id="b")
+    yield pytest.param(sum(_weights(_ERROR)), 0.0, 1e-16, id="error")
+    # the quartic dense output at x = 1 is the 5th-order solution, stage by stage
+    dense = [_weights(row) for row in _DENSE]
+    for stage, b in enumerate(_weights(_SOLUTION)):
+        at_one = float(stage == 0) + sum(w[stage] for w in dense)
+        yield pytest.param(at_one, b, 2e-15, id=f"dense{stage + 1}")
+
+
+@pytest.mark.parametrize("value, target, tol", _tableau_cases())
+def test_dormand_prince_tableau(value, target, tol):
+    assert abs(value - target) <= tol
 
 
 class TestIntegrate:
@@ -464,7 +490,7 @@ class TestEngines:
         assert first.stats == expected.stats
         # the failure is remembered and logged once, not retried per call
         assert len(calls) == 1
-        assert [r.levelno for r in caplog.records if "kernel" in r.getMessage()] == [logging.DEBUG]
+        assert [r.levelno for r in caplog.records if "kernel" in r.getMessage()] == [logging.WARNING]
 
     def test_threads_build_the_kernel_once(self, kernel, monkeypatch):
         built = _kernel.compile_library()
