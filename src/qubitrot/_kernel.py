@@ -21,6 +21,7 @@ import ctypes
 import hashlib
 import logging
 import os
+import platform
 import shutil
 import subprocess
 import tempfile
@@ -49,6 +50,9 @@ _UNDERFLOW, _DRIFT = 1, 2
 _CELL = 25
 _CHUNK_BYTES = 1 << 16
 
+# lines of the compiler's stderr that a failed build quotes
+_STDERR_LINES = 5
+
 _int64 = ctypes.c_int64
 _double = ctypes.c_double
 _ptr = ctypes.c_void_p
@@ -73,10 +77,11 @@ def compile_library(cache_dir: Path = CACHE_DIR) -> Path:
 
     The library is written to a temporary name in ``cache_dir`` and moved into
     place, so concurrent processes never load a partial file. Raises OSError
-    or subprocess.SubprocessError if it cannot be built.
+    or subprocess.SubprocessError if it cannot be built; a compiler that
+    fails is quoted by the last lines of its stderr.
     """
     source = SOURCE.read_bytes()
-    digest = hashlib.sha256(source + " ".join(CFLAGS).encode() + os.uname().machine.encode())
+    digest = hashlib.sha256(source + " ".join(CFLAGS).encode() + platform.machine().encode())
     target = cache_dir / f"_kernel-{digest.hexdigest()[:16]}.so"
     if target.is_file():
         return target
@@ -94,6 +99,9 @@ def compile_library(cache_dir: Path = CACHE_DIR) -> Path:
             timeout=120,
         )
         os.replace(tmp, target)
+    except subprocess.CalledProcessError as exc:
+        tail = exc.stderr.decode(errors="replace").splitlines()[-_STDERR_LINES:]
+        raise subprocess.SubprocessError("\n".join([str(exc), *tail])) from exc
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -132,8 +140,8 @@ def library() -> ctypes.CDLL | None:
                     _library = load(compile_library())
                 except (OSError, subprocess.SubprocessError) as exc:
                     log.warning(
-                        "compiled kernel unavailable (%s); this process integrates with the "
-                        "Python stepper, which is much slower",
+                        "compiled kernel unavailable, so this process integrates with the "
+                        "Python stepper, which is much slower: %s",
                         exc,
                     )
                     _library = None

@@ -4,9 +4,11 @@ The objective is fidelity of the long-time ground-plane state against a
 target (g, f) pair, minus a penalty on residual excited-state population.
 The landscape is an oscillatory ODE functional with no analytic gradient, so
 the search is derivative-free: a deterministic coarse grid scan over the box
-bounds followed by simplex refinement from the best grid point. The simplex
-is an in-package port of scipy's bounded Nelder-Mead, which gives the same
-points and bits without scipy's import time and memory.
+bounds, then a refinement from the best grid point. One free parameter is
+refined by Brent's bounded method on the bracket of the point's grid
+neighbours; several are refined by a bounded Nelder-Mead simplex. Both are
+in-package ports of scipy's, which give the same points and bits without
+scipy's import time and memory.
 
 Scan and refinement evaluations may run at a loosened relative tolerance for
 speed; the returned best point is always re-evaluated at the base
@@ -35,9 +37,10 @@ log = logging.getLogger(__name__)
 
 CONTROL_PARAMETERS = ("delta_tau", "ratio_omega", "delta_phase", "chi", "T_over_tau")
 
-# the simplex refinement: scipy's default initial simplex and solve's options
+# the refinement: scipy's default initial simplex and solve's options; Brent
+# shares the parameter tolerance and stops after _MAXFUN evaluations
 _NONZDELT, _ZDELT = 0.05, 0.00025
-_XATOL, _FATOL, _MAXITER = 1e-4, 1e-12, 400
+_XATOL, _FATOL, _MAXITER, _MAXFUN = 1e-4, 1e-12, 400, 500
 
 
 @dataclass(frozen=True)
@@ -201,6 +204,107 @@ def _nelder_mead(func, x0: np.ndarray, bounds) -> tuple[np.ndarray, float]:
     return sim[0], float(np.min(fsim))
 
 
+def _sign(v: float) -> float:
+    """numpy's ``sign(v) + (v == 0)``: -1.0 below zero, else 1.0."""
+    return -1.0 if v < 0 else 1.0
+
+
+def _brent(func, bracket, x0: float, f0: float) -> tuple[float, float]:
+    """Minimize ``func`` over ``bracket`` from ``x0``, whose value ``f0`` is known.
+
+    A port of scipy 1.17.1's ``_minimize_scalar_bounded`` (Brent 1973, ch. 5)
+    with ``xatol = 1e-4`` and ``maxiter = 500``. scipy starts from the
+    golden-section point of the bracket and evaluates it first; this starts
+    from ``x0`` instead, counts it as the first of at most 500 evaluations,
+    and otherwise keeps scipy's arithmetic and its update of the three
+    points. Started at scipy's first point with that point's value, it
+    evaluates scipy's later points in the same order and returns the same
+    (x, fun) bits.
+    """
+    a, b = bracket
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    xf = nfc = fulc = x0
+    fx = fnfc = ffulc = f0
+    rat = e = 0.0
+    num = 1
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + _XATOL / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        # try a parabola through the three points
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+        x = xf + _sign(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + _XATOL / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _MAXFUN:
+            break
+    return xf, fx
+
+
+def _refine_on_axis(func, axis: np.ndarray, i: int, bounds, f_best: float) -> tuple[float, float]:
+    """Refine grid point ``axis[i]``, of value ``f_best``, with :func:`_brent`.
+
+    The bracket is the point's neighbours on the axis, or the box bound where
+    the point ends the axis. On a bound, Brent would walk back towards the
+    bound one golden-section step at a time, so one probe ``_XATOL`` inside
+    decides first: the bound is kept unless the probe is strictly better.
+    """
+    lo, hi = map(float, bounds)
+    a = float(axis[i - 1]) if i > 0 else lo
+    b = float(axis[i + 1]) if i + 1 < len(axis) else hi
+    x0 = float(axis[i])
+    if x0 == lo or x0 == hi:
+        probe = min(x0 + _XATOL, b) if x0 == lo else max(x0 - _XATOL, a)
+        f_probe = func(probe)
+        if not f_probe < f_best:
+            return x0, f_best
+        x0, f_best = probe, f_probe
+    return _brent(func, (a, b), x0, f_best)
+
+
 def solve(
     problem: ControlProblem,
     *,
@@ -211,10 +315,13 @@ def solve(
     """Maximize fidelity minus the leak penalty over the box bounds.
 
     Deterministic for fixed inputs: the coarse grid is scanned in
-    lexicographic parameter order (ties keep the earliest point), then a
-    Nelder-Mead simplex refines the best point to parameter tolerance 1e-4
-    within the bounds. Points whose integration fails are skipped and logged;
-    if every grid point fails, SolverError is raised.
+    lexicographic parameter order (ties keep the earliest point), then the
+    best point is refined to parameter tolerance 1e-4 within the bounds. One
+    free parameter is refined by Brent's method on the bracket of its grid
+    neighbours (:func:`_refine_on_axis`), several by a Nelder-Mead simplex.
+    The search integrates no point twice, and the refined point replaces the
+    grid point only if it is at least as good. Points whose integration fails
+    are skipped and logged; if every grid point fails, SolverError is raised.
     """
     names = list(problem.free_parameters.keys())
     bounds = [problem.free_parameters[n] for n in names]
@@ -246,24 +353,34 @@ def solve(
     free_names = [n for n, (lo, hi) in zip(names, bounds) if lo != hi]
     if free_names:
         fixed = {n: best_values[n] for n in names if n not in free_names}
-        counter = [evaluations]
+        start = np.array([best_values[n] for n in free_names], dtype=float)
+        # -objective by the bits of the free values, so that no point is
+        # integrated twice; the grid ran at eval_rel_tol too
+        known = {start.tobytes(): -best_obj}
 
-        def neg_objective(x: np.ndarray) -> float:
-            values = dict(fixed)
-            values.update(zip(free_names, (float(v) for v in x)))
-            try:
-                counter[0] += 1
-                return -_evaluate(problem, values, eval_rel_tol)[2]
-            except IntegrationError as exc:
-                log.warning("refinement point %r failed: %s", values, exc)
-                return math.inf
+        def neg_objective(x) -> float:
+            x = np.asarray(x, dtype=float).reshape(-1)
+            key = x.tobytes()
+            if key not in known:
+                values = dict(fixed)
+                values.update(zip(free_names, map(float, x)))
+                try:
+                    known[key] = -_evaluate(problem, values, eval_rel_tol)[2]
+                except IntegrationError as exc:
+                    log.warning("refinement point %r failed: %s", values, exc)
+                    known[key] = math.inf
+            return known[key]
 
-        x, fun = _nelder_mead(
-            neg_objective,
-            np.array([best_values[n] for n in free_names]),
-            [problem.free_parameters[n] for n in free_names],
-        )
-        evaluations = counter[0]
+        if len(free_names) == 1:
+            k = names.index(free_names[0])
+            i = int(np.flatnonzero(axes[k] == start[0])[0])
+            x, fun = _refine_on_axis(neg_objective, axes[k], i, bounds[k], -best_obj)
+            x = [x]
+        else:
+            x, fun = _nelder_mead(
+                neg_objective, start, [problem.free_parameters[n] for n in free_names]
+            )
+        evaluations += len(known) - 1
         if math.isfinite(fun) and -fun >= best_obj:
             best_values = dict(fixed)
             best_values.update(zip(free_names, (float(v) for v in x)))

@@ -157,6 +157,25 @@ class TestSolve:
             assert solve(problem, grid_points=3, workers=2) == serial
         assert serial.grid_failures
 
+    def test_simplex_integrates_no_point_twice(self, monkeypatch):
+        calls = []
+        evaluate = control._evaluate
+
+        def recording(problem, values, rel_tol):
+            calls.append((tuple(float(v) for v in values.values()), rel_tol))
+            return evaluate(problem, values, rel_tol)
+
+        monkeypatch.setattr(control, "_evaluate", recording)
+        base = _fast_base()
+        target = _forward_target(apply_parameter(base, "delta_tau", 35.0))
+        problem = ControlProblem(
+            target, {"delta_tau": (20.0, 60.0), "ratio_omega": (0.8, 1.2)}, base
+        )
+        result = solve(problem, grid_points=3)
+        # the last call re-evaluates the returned point at the base tolerances
+        assert calls[-1][1] == 0.0
+        assert len(set(calls[:-1])) == len(calls) - 1 == result.evaluations - 1
+
 
 def _scipy_minimize(func, x0, bounds):
     """scipy's bounded Nelder-Mead with the options solve uses."""
@@ -276,3 +295,175 @@ class TestNelderMeadPort:
         evaluations = _assert_same_run(_noise, [0.5] * 3, [(0.0, 1.0)] * 3)
         res = _scipy_minimize(_noise, np.full(3, 0.5), [(0.0, 1.0)] * 3)
         assert res.nit == 400 and res.nfev == evaluations
+
+
+def _assert_same_brent(func, bracket) -> int:
+    """Run scipy's bounded Brent, and control._brent started at scipy's first
+    point (the golden-section point) with its value; both must evaluate the
+    same later points and return the same bits. Returns scipy's evaluations."""
+    from scipy.optimize import minimize_scalar
+
+    def recorded(points):
+        def call(x):
+            points.append(np.float64(x).tobytes())
+            return func(x)
+
+        return call
+
+    theirs, ours = [], []
+    options = {"xatol": 1e-4, "maxiter": 500}
+    # scipy computes inf - inf where func is inf, and overflows on a wide
+    # bracket; numpy warns, while the port's Python floats do not
+    with np.errstate(invalid="ignore", over="ignore"):
+        res = minimize_scalar(recorded(theirs), bounds=bracket, method="bounded", options=options)
+    a, b = bracket
+    x0 = a + 0.5 * (3.0 - math.sqrt(5.0)) * (b - a)
+    assert theirs[0] == np.float64(x0).tobytes()
+    x, fun = control._brent(recorded(ours), bracket, x0, func(x0))
+    assert ours == theirs[1:]
+    assert np.float64(x).tobytes() == np.float64(res.x).tobytes()
+    assert np.float64(fun).tobytes() == np.float64(res.fun).tobytes()
+    return len(theirs)
+
+
+class TestBrentPort:
+    """control._brent, started where scipy's bounded Brent starts, evaluates
+    scipy's later points in the same order and returns the same bits."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_quadratics(self, seed):
+        rng = np.random.default_rng(seed)
+        centre = rng.uniform(-2.0, 2.0)
+        curvature = rng.uniform(0.1, 5.0)
+        lower = rng.uniform(-3.0, 0.0)
+        bracket = (lower, lower + rng.uniform(0.5, 4.0))
+        assert _assert_same_brent(lambda x: curvature * (x - centre) ** 2, bracket) > 5
+
+    def test_objective_infinite_on_part_of_the_bracket(self):
+        def walled(x):
+            return math.inf if x > 0.5 else (x - 0.45) ** 2
+
+        assert _assert_same_brent(walled, (0.0, 1.0)) > 5
+
+    def test_objective_with_ties(self):
+        # few levels, so that new values tie with each of the three points
+        def stepped(x):
+            return round(math.cos(5.0 * x) / 0.1) * 0.1
+
+        assert _assert_same_brent(stepped, (-2.0, 3.0)) > 5
+
+    def test_stops_after_500_evaluations(self):
+        # noise on a V over a bracket so wide that xatol is never reached
+        def noisy(x):
+            return abs(x) + _noise(np.float64(x))
+
+        assert _assert_same_brent(noisy, (-1e300, 2e300)) == 500
+
+
+def _synthetic(monkeypatch, objective):
+    """Replace the integration behind solve by ``objective(x)`` of the one
+    free value; returns the list of points evaluated, in order."""
+    calls = []
+
+    def evaluate(problem, values, rel_tol):
+        (x,) = values.values()
+        calls.append(x)
+        value = objective(x)
+        if value is None:
+            raise control.IntegrationError("synthetic failure", 0.0)
+        return value, 0.0, value
+
+    monkeypatch.setattr(control, "_evaluate", evaluate)
+    return calls
+
+
+class TestOneParameterRefinement:
+    # a flat objective keeps the first grid point, and a probe that only ties
+    # does not move it
+    @pytest.mark.parametrize(
+        "slope, bound, probe",
+        [(1.0, 60.0, 60.0 - 1e-4), (-1.0, 20.0, 20.0 + 1e-4), (0.0, 20.0, 20.0 + 1e-4)],
+    )
+    def test_optimum_on_a_bound_costs_one_probe(self, monkeypatch, slope, bound, probe):
+        calls = _synthetic(monkeypatch, lambda x: slope * x / 100.0)
+        problem = ControlProblem(np.array([1.0, 0.0]), {"delta_tau": (20.0, 60.0)}, _fast_base())
+        result = solve(problem, grid_points=5)
+        assert calls == [20.0, 30.0, 40.0, 50.0, 60.0, probe, bound]
+        assert result.parameters == {"delta_tau": bound}
+        assert result.evaluations == len(calls) == 7
+
+    def test_a_better_probe_starts_brent(self, monkeypatch):
+        calls = _synthetic(monkeypatch, lambda x: -((x - 20.3) ** 2))
+        problem = ControlProblem(np.array([1.0, 0.0]), {"delta_tau": (20.0, 60.0)}, _fast_base())
+        result = solve(problem, grid_points=5)
+        assert calls[5] == 20.0 + 1e-4
+        assert abs(result.parameters["delta_tau"] - 20.3) <= 1e-4
+        # every point after the grid lies in the bracket of the grid point's neighbour
+        assert all(20.0 <= x <= 30.0 for x in calls[5:])
+        # the search repeats no point; the last call re-evaluates the result
+        assert result.evaluations == len(calls) == len(set(calls)) + 1
+
+    def test_interior_point_is_refined_between_its_neighbours(self, monkeypatch):
+        calls = _synthetic(monkeypatch, lambda x: -((x - 43.0) ** 2))
+        problem = ControlProblem(np.array([1.0, 0.0]), {"delta_tau": (20.0, 60.0)}, _fast_base())
+        result = solve(problem, grid_points=5)
+        # Brent starts at the grid point 40 with its grid value, which is not
+        # integrated again: its first step is the golden section towards 30
+        assert calls[5] == 40.0 - 0.5 * (3.0 - math.sqrt(5.0)) * 10.0
+        assert 40.0 not in calls[5:-1]
+        assert all(30.0 <= x <= 50.0 for x in calls[5:])
+        assert abs(result.parameters["delta_tau"] - 43.0) <= 1e-4
+
+    def test_failed_refinement_points_count_as_infinite(self, monkeypatch, caplog):
+        def walled(x):
+            return None if x > 41.0 else -((x - 40.8) ** 2)
+
+        calls = _synthetic(monkeypatch, walled)
+        problem = ControlProblem(np.array([1.0, 0.0]), {"delta_tau": (20.0, 60.0)}, _fast_base())
+        result = solve(problem, grid_points=5)
+        assert any(x > 41.0 for x in calls[5:-1])
+        assert "refinement point" in caplog.text
+        assert abs(result.parameters["delta_tau"] - 40.8) <= 1e-4
+        # failed grid points are not counted
+        assert len(result.grid_failures) == 2
+        assert result.evaluations == len(calls) - 2
+
+    @pytest.mark.parametrize(
+        "name, bounds, base",
+        [
+            ("delta_tau", (25.0, 45.0), _fast_base()),
+            ("ratio_omega", (0.5, 1.5), _fast_base(alpha=1.0, phi=0.0)),
+            ("T_over_tau", (0.5, 2.5), _fast_base()),
+            ("chi", (-1.0, 1.0), _fast_base(chirp_kind="tanh", chi=0.5)),
+        ],
+    )
+    def test_never_below_the_best_grid_point(self, name, bounds, base):
+        target = np.array([0.6, 0.8 * np.exp(0.5j)])
+        problem = ControlProblem(target, {name: bounds}, base)
+        # the grid at the base tolerances, as the result is re-evaluated
+        grid = [
+            control._evaluate(problem, {name: v}, rel_tol=0.0)[2]
+            for v in np.linspace(*bounds, 5)
+        ]
+        result = solve(problem, grid_points=5, eval_rel_tol=base.rel_tol)
+        assert result.objective >= max(grid)
+
+    def test_chirp_with_a_failed_grid_point_on_two_workers(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        base = _fast_base(chirp_kind="linear", chi=1.0)
+        target = _forward_target(apply_parameter(base, "chi", 0.5))
+        problem = ControlProblem(target, {"chi": (0.5, 1e14)}, base)
+        serial = solve(problem, grid_points=2, workers=1)
+        assert solve(problem, grid_points=2, workers=2) == serial
+        assert len(serial.grid_failures) == 1
+        # one grid point, one probe inside the lower bound, one final run
+        assert serial.evaluations == 3
+        assert serial.parameters == {"chi": 0.5}
+
+    def test_search_style_problem_costs_at_most_12_integrations(self):
+        base = _fast_base()
+        target = _forward_target(apply_parameter(base, "delta_tau", 35.0))
+        problem = ControlProblem(target, {"delta_tau": (32.0, 38.0)}, base)
+        result = solve(problem, grid_points=5)
+        assert result.evaluations <= 12
+        assert result.fidelity >= 0.999999

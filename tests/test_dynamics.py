@@ -543,3 +543,21 @@ class TestEngines:
             capture_output=True, text=True, timeout=120,
         )  # fmt: skip
         assert done.returncode == 0, done.stderr
+
+    def test_failed_build_quotes_the_compiler(self, tmp_path, monkeypatch, caplog):
+        if shutil.which("cc") is None and shutil.which("gcc") is None:
+            pytest.skip("no C compiler (cc or gcc) on PATH")
+        broken = tmp_path / "_kernel.c"
+        broken.write_text(_kernel.SOURCE.read_text() + "\nthis is not C\n")
+        build = _kernel.compile_library
+        monkeypatch.setattr(_kernel, "SOURCE", broken)
+        monkeypatch.setattr(_kernel, "compile_library", lambda: build(tmp_path))
+        monkeypatch.setattr(_kernel, "_library", _kernel._UNSET)
+        with caplog.at_level(logging.WARNING, logger="qubitrot"):
+            assert _kernel.library() is None
+        (record,) = [r for r in caplog.records if "kernel" in r.getMessage()]
+        lines = record.getMessage().splitlines()
+        assert "returned non-zero exit status" in lines[0]
+        assert any("_kernel.c" in line and "error:" in line for line in lines[1:])
+        # no library and no temporary file is left behind
+        assert [p.name for p in tmp_path.iterdir()] == ["_kernel.c"]
