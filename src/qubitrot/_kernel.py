@@ -17,6 +17,7 @@ formatting.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import logging
@@ -76,9 +77,11 @@ def compile_library(cache_dir: Path = CACHE_DIR) -> Path:
     """Path of the built kernel in ``cache_dir``, compiling it if it is missing.
 
     The library is written to a temporary name in ``cache_dir`` and moved into
-    place, so concurrent processes never load a partial file. Raises OSError
-    or subprocess.SubprocessError if it cannot be built; a compiler that
-    fails is quoted by the last lines of its stderr.
+    place, so concurrent processes never load a partial file; it then
+    removes the other ``_kernel-*.so`` builds there, not the ``.tmp`` files
+    of builds still running. Raises OSError or subprocess.SubprocessError if
+    it cannot be built; a compiler that fails is quoted by the last lines of
+    its stderr.
     """
     source = SOURCE.read_bytes()
     digest = hashlib.sha256(source + " ".join(CFLAGS).encode() + platform.machine().encode())
@@ -105,6 +108,12 @@ def compile_library(cache_dir: Path = CACHE_DIR) -> Path:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    for stale in cache_dir.glob("_kernel-*.so"):
+        if stale != target:
+            # Linux unmaps no library that a process loaded; another
+            # process may remove it first, and Windows refuses while loaded
+            with contextlib.suppress(OSError):
+                stale.unlink()
     return target
 
 

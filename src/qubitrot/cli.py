@@ -15,9 +15,12 @@ and default to the common base scenario; unknown keys are rejected. A JSON
 run manifest produced by ``simulate`` can be passed back via ``--config`` to
 reproduce the run byte-for-byte.
 
-Exit codes: 0 success, 2 malformed configuration or flags (a count too
-large to allocate included), 3 integration or solver failure, 4
-unsupported-regime flag combination.
+Every input passes one layer, the "inputs" section below: one reader for
+JSON documents and one rule per key, flag or environment variable
+(``_RULES``), so that malformed input raises ConfigError naming it. Exit
+codes: 0 success, 2 malformed input (a count too large to allocate
+included), 3 integration or solver failure, 4 unsupported-regime flag
+combination.
 """
 
 from __future__ import annotations
@@ -53,11 +56,44 @@ from .types import (
 
 WORKERS_ENV = "QUBITROT_WORKERS"
 
-# the keys of a sweep file that _load_sweep_spec reads besides the config
+# the keys of a sweep file that _load_sweep_spec reads besides the config; the
+# last three give a linspace
 _SWEEP_KEYS = ("sweep_parameter", "sweep_grid", "sweep_start", "sweep_stop", "sweep_points")
 
 # the top-level keys of a solve problem document
 _PROBLEM_KEYS = ("target", "free_parameters", "base", "leak_weight", "grid_points", "eval_rel_tol")
+
+
+# ---------------------------------------------------------------------------
+# inputs: every file, flag and environment variable is read here, and any
+# malformed value raises ConfigError naming its key, flag or file
+# ---------------------------------------------------------------------------
+
+
+def _read_text(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def _unique_pairs(pairs: list) -> dict:
+    """``object_pairs_hook`` of the JSON reader: raises ValueError on a duplicate key."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
+def _parse_json(path: str, text: str):
+    """The JSON document ``text`` of the file ``path``; an integer of more digits
+    than Python converts is a ValueError, and deep nesting a RecursionError."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_pairs)
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _parse_keyvalue_text(text: str, path: str) -> dict[str, str]:
@@ -76,56 +112,64 @@ def _parse_keyvalue_text(text: str, path: str) -> dict[str, str]:
     return entries
 
 
-def _unique_pairs(path: str, pairs: list) -> dict:
-    """``object_pairs_hook`` of the JSON reader: raises ConfigError on a duplicate key."""
-    doc = {}
-    for key, value in pairs:
-        if key in doc:
-            raise ConfigError(f"{path}: duplicate key {key!r}")
-        doc[key] = value
-    return doc
-
-
 def load_config_file(path: str) -> dict:
     """Read a key=value config file, or the ``config`` block of a JSON manifest."""
+    text = _read_text(path, "config")
+    if not text.lstrip().startswith("{"):
+        return _parse_keyvalue_text(text, path)
+    doc = _parse_json(path, text)
+    raw = doc.get("config", doc)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: JSON config must be an object")
+    return raw
+
+
+# the one source of config defaults and key types (float, str, int)
+_BASE = sweeps.base_config()
+_DEFAULTS = config_to_dict(_BASE)
+
+# an input's rule: its type, and None or its bound as (test, what it must be);
+# numpy cannot index a count above sys.maxsize
+_FLOAT = (float, None)
+_COUNT = (int, (lambda v: 1 <= v <= sys.maxsize, f"at least 1 and at most {sys.maxsize}"))
+_POSITIVE = (float, (lambda v: 0.0 < v < math.inf, "positive and finite"))
+
+# every input's rule, by key, flag or environment variable; a config key takes
+# the base scenario's type and leaves its bounds to the records it builds
+_RULES = {
+    **{key: (type(value), None) for key, value in _DEFAULTS.items()},
+    **dict.fromkeys(("delta_tau", "sweep_start", "sweep_stop", "leak_weight"), _FLOAT),
+    # a sweep_grid value, a target amplitude or angle, a free parameter's bound
+    **dict.fromkeys(("sweep_grid", "target", "free_parameters"), _FLOAT),
+    "sweep_parameter": (str, None),
+    **dict.fromkeys(
+        ("sweep_points", "grid_points", "--grid-points", "--workers", WORKERS_ENV), _COUNT
+    ),
+    **dict.fromkeys(("eval_rel_tol", "--separation", "--scale"), _POSITIVE),
+    "--chop": (float, (math.isfinite, "finite")),
+}
+
+
+def _value(name: str, raw):
+    """``raw``, text or a typed value, as the input ``name`` takes it by its rule.
+
+    A dotted name (``target.alpha``) takes its first part's rule. Raises
+    ConfigError naming the input for a value of the wrong type, one that does
+    not parse or overflows a float, and one out of bounds.
+    """
+    kind, bound = _RULES[name.partition(".")[0]]
+    label = name if name.startswith("-") or name == WORKERS_ENV else f"key '{name}'"
+    # text, or a value of the type: an int is a float too, a bool is neither
+    types = (str, int, float) if kind is float else (str, kind)
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    if text.lstrip().startswith("{"):
-        try:
-            doc = json.loads(text, object_pairs_hook=functools.partial(_unique_pairs, path))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-        raw = doc.get("config", doc)
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: JSON config must be an object")
-        return {str(k): v for k, v in raw.items()}
-    return _parse_keyvalue_text(text, path)
-
-
-def _coerce(key: str, value, parser):
-    if isinstance(value, bool):
-        raise ConfigError(f"invalid value for key '{key}': {value!r}")
-    if isinstance(value, str):
-        try:
-            return parser(value)
-        except ValueError as exc:
-            raise ConfigError(f"invalid value for key '{key}': {value!r}") from exc
-    if parser is float and isinstance(value, (int, float)):
-        return float(value)
-    if parser is int and isinstance(value, int):
-        return value
-    raise ConfigError(f"invalid value for key '{key}': {value!r}")
-
-
-def _check_count(name: str, value: int) -> None:
-    """Raises ConfigError naming ``name`` unless 1 <= value <= sys.maxsize,
-    the largest count numpy can index."""
-    if value < 1:
-        raise ConfigError(f"{name}: must be at least 1, got {value}")
-    if value > sys.maxsize:
-        raise ConfigError(f"{name}: must be at most {sys.maxsize}, got {value}")
+        if isinstance(raw, bool) or not isinstance(raw, types):
+            raise TypeError(f"not a {kind.__name__}")
+        value = kind(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid value for {label}: {raw!r}") from exc
+    if bound is not None and not bound[0](value):
+        raise ConfigError(f"{label}: must be {bound[1]}, got {value}")
+    return value
 
 
 def build_config(entries: dict) -> SimulationConfig:
@@ -139,12 +183,9 @@ def build_config(entries: dict) -> SimulationConfig:
     """
     values = {}
     for key, raw in entries.items():
-        if key == "delta_tau":
-            values[key] = _coerce(key, raw, float)
-        elif key in CONFIG_KEYS:
-            values[key] = _coerce(key, raw, type(_DEFAULTS[key]))
-        else:
+        if key not in CONFIG_KEYS and key != "delta_tau":
             raise ConfigError(f"unknown config key '{key}'")
+        values[key] = _value(key, raw)
 
     if "beta" not in values:
         alpha = values.get("alpha", _DEFAULTS["alpha"])
@@ -169,9 +210,129 @@ def build_config(entries: dict) -> SimulationConfig:
         raise ConfigError(str(exc)) from exc
 
 
-# the one source of config defaults and key types (float, str, int)
-_BASE = sweeps.base_config()
-_DEFAULTS = config_to_dict(_BASE)
+def _resolve_workers(requested: int) -> int:
+    """``--workers``, capped by the environment variable ``QUBITROT_WORKERS``."""
+    workers = _value("--workers", requested)
+    cap = os.environ.get(WORKERS_ENV)
+    return workers if cap is None else min(workers, _value(WORKERS_ENV, cap))
+
+
+def _preset(args):
+    """The preset that ``--preset`` names, or None where ``--config`` names a file."""
+    if args.preset and args.config:
+        raise ConfigError("pass either --preset or --config, not both")
+    if args.config:
+        return None
+    if not args.preset:
+        raise ConfigError("one of --preset or --config is required")
+    if args.preset not in sweeps.PRESET_NAMES:
+        names = ", ".join(sweeps.PRESET_NAMES)
+        raise ConfigError(f"--preset: unknown preset {args.preset!r}; valid names: {names}")
+    return sweeps.figure_preset(args.preset)
+
+
+def _load_run_config(args) -> SimulationConfig:
+    preset = _preset(args)
+    if preset is None:
+        cfg = build_config(load_config_file(args.config))
+    else:
+        cfg = preset.base if isinstance(preset, sweeps.SweepSpec) else preset
+    if args.samples is not None:
+        try:
+            cfg = cfg.with_(samples=args.samples)
+        except ValueError as exc:
+            raise ConfigError(f"--samples: {exc}") from exc
+    return cfg
+
+
+def _load_sweep_spec(args) -> sweeps.SweepSpec:
+    preset = _preset(args)
+    if preset is not None:
+        if not isinstance(preset, sweeps.SweepSpec):
+            raise ConfigError(f"preset '{args.preset}' is a single run, not a sweep")
+        if args.grid_points is None:
+            return preset
+        # every sweep preset has a numeric grid
+        points = _value("--grid-points", args.grid_points)
+        lo, hi = float(preset.grid[0]), float(preset.grid[-1])
+        return sweeps.SweepSpec(preset.parameter, tuple(np.linspace(lo, hi, points)), preset.base)
+    if args.grid_points is not None:
+        raise ConfigError(
+            "--grid-points resamples only a preset grid; with --config, set "
+            "sweep_grid or sweep_points in the file"
+        )
+    entries = load_config_file(args.config)
+    base = build_config({k: v for k, v in entries.items() if k not in _SWEEP_KEYS})
+    if "sweep_parameter" not in entries:
+        raise ConfigError("missing config key 'sweep_parameter'")
+    parameter = _value("sweep_parameter", entries["sweep_parameter"])
+    if "sweep_grid" in entries:
+        grid = [s.strip() for s in str(entries["sweep_grid"]).split(",") if s.strip()]
+        if parameter != "chirp_kind":
+            grid = [_value("sweep_grid", s) for s in grid]
+    elif {"sweep_start", "sweep_stop", "sweep_points"} <= entries.keys():
+        start, stop, points = (_value(k, entries[k]) for k in _SWEEP_KEYS[2:])
+        grid = np.linspace(start, stop, points)
+    else:
+        raise ConfigError(
+            "missing config key 'sweep_grid' (or 'sweep_start'/'sweep_stop'/'sweep_points')"
+        )
+    try:
+        return sweeps.SweepSpec(parameter, tuple(grid), base)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _load_problem(path: str) -> tuple[control.ControlProblem, dict]:
+    """The problem of a ``solve`` document, and the ``control.solve`` options
+    it sets; ``control`` holds the defaults of those it omits."""
+    doc = _parse_json(path, _read_text(path, "problem"))
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: problem document must be a JSON object")
+    for key in doc:
+        if key not in _PROBLEM_KEYS:
+            raise ConfigError(f"unknown problem key {key!r}; valid: {', '.join(_PROBLEM_KEYS)}")
+
+    target_doc = doc.get("target")
+
+    def target_values(keys):
+        return [_value(f"target.{k}", target_doc[k]) for k in keys]
+
+    keys = set(target_doc) if isinstance(target_doc, dict) else None
+    if keys == {"alpha", "beta", "phi"}:
+        try:
+            target = InitialQubit(*target_values(("alpha", "beta", "phi"))).amplitudes()
+        except ValueError as exc:
+            raise ConfigError(f"key 'target': {exc}") from exc
+    elif keys == {"g_re", "g_im", "f_re", "f_im"}:
+        g_re, g_im, f_re, f_im = target_values(("g_re", "g_im", "f_re", "f_im"))
+        target = np.array([complex(g_re, g_im), complex(f_re, f_im)])
+    else:
+        got = "" if keys is None else f", got keys {{{', '.join(sorted(keys))}}}"
+        raise ConfigError(
+            f"key 'target': expected keys {{alpha, beta, phi}} or {{g_re, g_im, f_re, f_im}}{got}"
+        )
+
+    free = doc.get("free_parameters")
+    if not isinstance(free, dict) or not free:
+        raise ConfigError("key 'free_parameters': expected a non-empty object of [lo, hi] bounds")
+    free_parameters = {}
+    for name, bounds in free.items():
+        key = f"free_parameters.{name}"
+        if not (isinstance(bounds, list) and len(bounds) == 2):
+            raise ConfigError(f"key '{key}': expected [lower, upper]")
+        free_parameters[name] = tuple(_value(key, v) for v in bounds)
+
+    base_doc = doc.get("base", {})
+    if not isinstance(base_doc, dict):
+        raise ConfigError("key 'base': expected an object of config keys")
+    base = build_config(base_doc)
+    weight = {k: _value(k, doc[k]) for k in ("leak_weight",) if k in doc}
+    try:
+        problem = control.ControlProblem(target, free_parameters, base, **weight)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return problem, {k: _value(k, doc[k]) for k in ("grid_points", "eval_rel_tol") if k in doc}
 
 
 # ---------------------------------------------------------------------------
@@ -312,51 +473,8 @@ def sweep_json_doc(result: sweeps.SweepResult) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_workers(requested: int) -> int:
-    """``--workers``, capped by the environment variable ``QUBITROT_WORKERS``."""
-    if requested < 1:
-        raise ConfigError(f"--workers: must be at least 1, got {requested}")
-    cap = os.environ.get(WORKERS_ENV)
-    if cap is None:
-        return requested
-    try:
-        limit = int(cap)
-    except ValueError as exc:
-        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {cap!r}") from exc
-    if limit < 1:
-        raise ConfigError(f"{WORKERS_ENV} must be at least 1, got {limit}")
-    return min(requested, limit)
-
-
-def _check_preset(name: str) -> None:
-    if name not in sweeps.PRESET_NAMES:
-        raise ConfigError(
-            f"--preset: unknown preset {name!r}; valid names: {', '.join(sweeps.PRESET_NAMES)}"
-        )
-
-
-def _load_run_config(args) -> tuple[SimulationConfig, str | None]:
-    if args.preset and args.config:
-        raise ConfigError("pass either --preset or --config, not both")
-    if args.preset:
-        _check_preset(args.preset)
-        cfg = sweeps.preset_base(args.preset)
-        name = args.preset
-    elif args.config:
-        cfg = build_config(load_config_file(args.config))
-        name = None
-    else:
-        raise ConfigError("one of --preset or --config is required")
-    if args.samples is not None:
-        try:
-            cfg = cfg.with_(samples=args.samples)
-        except ValueError as exc:
-            raise ConfigError(f"--samples: {exc}") from exc
-    return cfg, name
-
-
 def cmd_simulate(args) -> int:
-    cfg, preset = _load_run_config(args)
+    cfg = _load_run_config(args)
     t0 = time.perf_counter()
     traj = integrate(cfg)
     # raises UnsupportedRegimeError (exit 4) for chirped or detuned bases
@@ -368,7 +486,7 @@ def cmd_simulate(args) -> int:
         _manifest_path(out),
         {
             "command": "simulate",
-            "preset": preset,
+            "preset": args.preset or None,
             "config": config_to_dict(cfg),
             "adiabatic": bool(args.adiabatic),
             "norm_drift_max": traj.max_norm_error,
@@ -379,60 +497,6 @@ def cmd_simulate(args) -> int:
     )
     print(f"wrote {out} ({cfg.samples} samples, norm drift {traj.max_norm_error:.2e})")
     return 0
-
-
-def _load_sweep_spec(args) -> sweeps.SweepSpec:
-    if args.preset and args.config:
-        raise ConfigError("pass either --preset or --config, not both")
-    if args.preset:
-        _check_preset(args.preset)
-        preset = sweeps.figure_preset(args.preset)
-        if not isinstance(preset, sweeps.SweepSpec):
-            raise ConfigError(f"preset '{args.preset}' is a single run, not a sweep")
-        if args.grid_points is None:
-            return preset
-        # every sweep preset has a numeric grid
-        _check_count("--grid-points", args.grid_points)
-        lo, hi = float(preset.grid[0]), float(preset.grid[-1])
-        return sweeps.SweepSpec(
-            preset.parameter, tuple(np.linspace(lo, hi, args.grid_points)), preset.base
-        )
-    if not args.config:
-        raise ConfigError("one of --preset or --config is required")
-    if args.grid_points is not None:
-        raise ConfigError(
-            "--grid-points resamples only a preset grid; with --config, set "
-            "sweep_grid or sweep_points in the file"
-        )
-    entries = load_config_file(args.config)
-    base = build_config({k: v for k, v in entries.items() if k not in _SWEEP_KEYS})
-    try:
-        parameter = str(entries["sweep_parameter"])
-    except KeyError:
-        raise ConfigError("missing config key 'sweep_parameter'") from None
-    if "sweep_grid" in entries:
-        raw = [s.strip() for s in str(entries["sweep_grid"]).split(",") if s.strip()]
-        if parameter != "chirp_kind":
-            raw = [_coerce("sweep_grid", s, float) for s in raw]
-        grid = tuple(raw)
-    elif {"sweep_start", "sweep_stop", "sweep_points"} <= entries.keys():
-        points = _coerce("sweep_points", entries["sweep_points"], int)
-        _check_count("key 'sweep_points'", points)
-        grid = tuple(
-            np.linspace(
-                _coerce("sweep_start", entries["sweep_start"], float),
-                _coerce("sweep_stop", entries["sweep_stop"], float),
-                points,
-            )
-        )
-    else:
-        raise ConfigError(
-            "missing config key 'sweep_grid' (or 'sweep_start'/'sweep_stop'/'sweep_points')"
-        )
-    try:
-        return sweeps.SweepSpec(parameter, grid, base)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def cmd_sweep(args) -> int:
@@ -448,7 +512,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_twolevel(args) -> int:
-    cfg, preset = _load_run_config(args)
+    cfg = _load_run_config(args)
     report = compare_with_full(cfg)
     out = Path(args.out)
     full, red = report.full, report.reduced
@@ -465,7 +529,7 @@ def cmd_twolevel(args) -> int:
         _manifest_path(out),
         {
             "command": "twolevel",
-            "preset": preset,
+            "preset": args.preset or None,
             "config": config_to_dict(cfg),
             "deviation": {
                 "max_p_g": report.max_dev_p_g,
@@ -486,11 +550,8 @@ def cmd_twolevel(args) -> int:
 
 
 def cmd_stirap(args) -> int:
-    for flag, value in (("--separation", args.separation), ("--scale", args.scale)):
-        if not 0.0 < value < math.inf:
-            raise ConfigError(f"{flag} must be positive and finite, got {value}")
-    if args.chop is not None and not math.isfinite(args.chop):
-        raise ConfigError(f"--chop must be a finite time, got {args.chop}")
+    separation, scale = _value("--separation", args.separation), _value("--scale", args.scale)
+    chop = None if args.chop is None else _value("--chop", args.chop)
     alpha = args.alpha
     beta = args.beta if args.beta is not None else normalizing_beta(alpha)
     try:
@@ -499,8 +560,8 @@ def cmd_stirap(args) -> int:
         raise ConfigError(str(exc)) from exc
 
     # without --chop the designed pair runs to the end of the window
-    stop_time = math.inf if args.chop is None else args.chop
-    traj = stirap.chopped_rotation(qubit, args.separation, args.scale, stop_time)
+    stop_time = math.inf if chop is None else chop
+    traj = stirap.chopped_rotation(qubit, separation, scale, stop_time)
     cfg = traj.config
     fid = analysis.fidelity(traj.final_state(), orthogonal_state(qubit), traj.times[-1], cfg)
     max_p_e = float(traj.p_e.max())
@@ -508,7 +569,7 @@ def cmd_stirap(args) -> int:
     out = Path(args.out)
     _write_text(out, trajectory_csv_lines(traj, cfg, adiabatic=False, command="stirap"))
 
-    drive = stirap.designed_drive(qubit, args.separation, args.scale, stop_time)
+    drive = stirap.designed_drive(qubit, separation, scale, stop_time)
     w = drive.sample(traj.times)
     env_lines = _table_lines(
         "t_over_tau,re_omega1,im_omega1,re_omega2,im_omega2",
@@ -522,9 +583,9 @@ def cmd_stirap(args) -> int:
         {
             "command": "stirap",
             "qubit": {"alpha": qubit.alpha, "beta": qubit.beta, "phi": qubit.phi},
-            "separation": args.separation,
-            "scale": args.scale,
-            "chop": args.chop,
+            "separation": separation,
+            "scale": scale,
+            "chop": chop,
             "fidelity_to_orthogonal": fid,
             "max_p_e": max_p_e,
             "norm_drift_max": traj.max_norm_error,
@@ -536,78 +597,7 @@ def cmd_stirap(args) -> int:
     return 0
 
 
-def _load_problem(path: str) -> tuple[control.ControlProblem, dict]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-        doc = json.loads(text, object_pairs_hook=functools.partial(_unique_pairs, path))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read problem file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: problem document must be a JSON object")
-    for key in doc:
-        if key not in _PROBLEM_KEYS:
-            raise ConfigError(f"unknown problem key {key!r}; valid: {', '.join(_PROBLEM_KEYS)}")
-
-    target_doc = doc.get("target")
-
-    def target_values(keys):
-        return [_coerce(f"target.{k}", target_doc[k], float) for k in keys]
-
-    keys = set(target_doc) if isinstance(target_doc, dict) else None
-    if keys == {"alpha", "beta", "phi"}:
-        try:
-            target = InitialQubit(*target_values(("alpha", "beta", "phi"))).amplitudes()
-        except ValueError as exc:
-            raise ConfigError(f"key 'target': {exc}") from exc
-    elif keys == {"g_re", "g_im", "f_re", "f_im"}:
-        g_re, g_im, f_re, f_im = target_values(("g_re", "g_im", "f_re", "f_im"))
-        target = np.array([complex(g_re, g_im), complex(f_re, f_im)])
-    else:
-        got = "" if keys is None else f", got keys {{{', '.join(sorted(keys))}}}"
-        raise ConfigError(
-            f"key 'target': expected keys {{alpha, beta, phi}} or {{g_re, g_im, f_re, f_im}}{got}"
-        )
-
-    free = doc.get("free_parameters")
-    if not isinstance(free, dict) or not free:
-        raise ConfigError("key 'free_parameters': expected a non-empty object of [lo, hi] bounds")
-    free_parameters = {}
-    for name, bounds in free.items():
-        key = f"free_parameters.{name}"
-        if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2):
-            raise ConfigError(f"key '{key}': expected [lower, upper]")
-        free_parameters[str(name)] = tuple(_coerce(key, v, float) for v in bounds)
-
-    base_doc = doc.get("base", {})
-    if not isinstance(base_doc, dict):
-        raise ConfigError("key 'base': expected an object of config keys")
-    base = build_config({str(k): v for k, v in base_doc.items()})
-    try:
-        problem = control.ControlProblem(
-            target=target,
-            free_parameters=free_parameters,
-            base=base,
-            leak_weight=_coerce("leak_weight", doc.get("leak_weight", 1.0), float),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    options = {
-        "grid_points": _coerce("grid_points", doc.get("grid_points", 11), int),
-        "eval_rel_tol": _coerce("eval_rel_tol", doc.get("eval_rel_tol", 1e-8), float),
-    }
-    _check_count("key 'grid_points'", options["grid_points"])
-    if not 0.0 < options["eval_rel_tol"] < math.inf:
-        raise ConfigError(
-            f"key 'eval_rel_tol': must be positive and finite, got {options['eval_rel_tol']}"
-        )
-    return problem, options
-
-
 def cmd_solve(args) -> int:
-    if not args.config:
-        raise ConfigError("--config with a JSON problem document is required")
     workers = _resolve_workers(args.workers)
     problem, options = _load_problem(args.config)
     result = control.solve(problem, workers=workers, **options)

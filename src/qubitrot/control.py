@@ -116,11 +116,14 @@ def _evaluate(problem: ControlProblem, values: dict[str, float], rel_tol: float)
     return fid, p_e, fid - problem.leak_weight * p_e
 
 
-def _grid_eval(problem: ControlProblem, values: dict[str, float], rel_tol: float):
+def _objective(problem: ControlProblem, values: dict[str, float], rel_tol: float, stage: str):
+    """(objective, None) at one point of the grid or refinement ``stage``, or
+    (-inf, message) where its integration fails, which is logged."""
     try:
-        return _evaluate(problem, values, rel_tol), None
+        return _evaluate(problem, values, rel_tol)[2], None
     except IntegrationError as exc:
-        return None, str(exc)
+        log.warning("%s point %r failed: %s", stage, values, exc)
+        return -math.inf, str(exc)
 
 
 def _nelder_mead(func, x0: np.ndarray, bounds) -> tuple[np.ndarray, float]:
@@ -320,8 +323,9 @@ def solve(
     free parameter is refined by Brent's method on the bracket of its grid
     neighbours (:func:`_refine_on_axis`), several by a Nelder-Mead simplex.
     The search integrates no point twice, and the refined point replaces the
-    grid point only if it is at least as good. Points whose integration fails
-    are skipped and logged; if every grid point fails, SolverError is raised.
+    grid point only if it is at least as good. A point whose integration fails
+    is logged and scores -inf, and ``evaluations`` counts it as it counts every
+    integration that ran; if every grid point fails, SolverError is raised.
     """
     names = list(problem.free_parameters.keys())
     bounds = [problem.free_parameters[n] for n in names]
@@ -331,22 +335,19 @@ def solve(
     candidates = [dict(zip(names, combo)) for combo in itertools.product(*axes)]
 
     outcomes = map_points(
-        lambda values: _grid_eval(problem, values, eval_rel_tol), candidates, workers
+        lambda values: _objective(problem, values, eval_rel_tol, "grid"), candidates, workers
     )
 
     best_values = None
     best_obj = -math.inf
-    evaluations = 0
     failures: list[tuple[dict, str]] = []
-    for values, (result, err) in zip(candidates, outcomes):
+    for values, (obj, err) in zip(candidates, outcomes):
         if err is not None:
-            log.warning("grid point %r failed: %s", values, err)
             failures.append((values, err))
-            continue
-        evaluations += 1
-        _, _, obj = result
-        if obj > best_obj:
+        elif obj > best_obj:
             best_obj, best_values = obj, values
+    # every integration that ran, failed or not, and the final one
+    evaluations = len(candidates) + 1
     if best_values is None:
         raise SolverError("every grid point failed to evaluate")
 
@@ -364,11 +365,7 @@ def solve(
             if key not in known:
                 values = dict(fixed)
                 values.update(zip(free_names, map(float, x)))
-                try:
-                    known[key] = -_evaluate(problem, values, eval_rel_tol)[2]
-                except IntegrationError as exc:
-                    log.warning("refinement point %r failed: %s", values, exc)
-                    known[key] = math.inf
+                known[key] = -_objective(problem, values, eval_rel_tol, "refinement")[0]
             return known[key]
 
         if len(free_names) == 1:
@@ -392,6 +389,6 @@ def solve(
         fidelity=fid,
         final_p_e=p_e,
         objective=obj,
-        evaluations=evaluations + 1,
+        evaluations=evaluations,
         grid_failures=failures,
     )

@@ -10,15 +10,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import qubitrot
-from qubitrot import _kernel, sweeps
+from qubitrot import _kernel, cli, control, sweeps
 from qubitrot.analysis import adiabatic_populations
 from qubitrot.cli import _table_lines, build_config, config_to_dict, load_config_file, main
 from qubitrot.dynamics import envelope, integrate
 from qubitrot.stirap import DEFAULT_SCALE, designed_drive, orthogonal_transfer
 from qubitrot.twolevel import compare_with_full, integrate_two_level
-from qubitrot.types import InitialQubit, PulsePair
+from qubitrot.errors import ConfigError
+from qubitrot.types import CONFIG_KEYS, InitialQubit, PulsePair
 
 FAST_BASE = """
 # light configuration for CLI round trips
@@ -521,6 +523,26 @@ SWEEP = ["sweep", "--config", "{input}"]
             "got keys {f_im, f_re, g_im, g_re, phi}",
             id="target-gf-extra-key",
         ),
+        # JSON numbers that no float holds, or that Python will not convert
+        pytest.param(
+            SIMULATE, '{"alpha": 1' + "0" * 400 + "}", 2, "'alpha'", id="json-int-overflows-float"
+        ),
+        pytest.param(
+            SOLVE, _problem(free_parameters={"delta_tau": [30.0, 10**400]}), 2,
+            "'free_parameters.delta_tau'", id="bound-overflows-float",
+        ),
+        pytest.param(
+            SIMULATE, '{"samples": 1' + "0" * 5000 + "}", 2, "input: invalid JSON",
+            id="json-int-5001-digits",
+        ),
+        pytest.param(
+            SOLVE, _problem()[:-1] + ', "leak_weight": 1' + "0" * 5000 + "}", 2,
+            "input: invalid JSON", id="problem-int-5001-digits",
+        ),
+        pytest.param(
+            SIMULATE, '{"alpha": ' + "[" * 100000 + "]" * 100000 + "}", 2, "input: invalid JSON",
+            id="json-nested-too-deep",
+        ),
         *(
             pytest.param(
                 ["stirap", f"--{flag}={value}"], None, 2, f"--{flag}", id=f"{flag}-{value}"
@@ -546,6 +568,152 @@ def test_exit_code(tmp_path, capsys, monkeypatch, argv, text, code, fragment):
     argv = [path if a == "{input}" else a for a in argv] + ["--out", str(tmp_path / "out")]
     assert main(argv) == code
     assert fragment in capsys.readouterr().err
+
+
+_SWEEP_FILE_KEYS = ["sweep_parameter", "sweep_grid", "sweep_start", "sweep_stop", "sweep_points"]
+_INPUT_KEYS = st.sampled_from([*CONFIG_KEYS, "delta_tau", *_SWEEP_FILE_KEYS, "config"]) | st.text(
+    max_size=8
+)
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**400), 10**400)
+    | st.floats()
+    | st.text(max_size=8)
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_INPUT_KEYS, inner, max_size=3),
+    max_leaves=6,
+)
+# values that often pass, so that inputs reach the later checks too
+_PLAUSIBLE = {
+    "chirp1_kind": st.sampled_from(["none", "linear", "tanh"]),
+    "chirp2_kind": st.sampled_from(["none", "linear", "tanh"]),
+    "sweep_parameter": st.sampled_from(sweeps.SWEEP_PARAMETERS),
+    "sweep_grid": st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=4).map(
+        lambda grid: ", ".join(map(str, grid))
+    )
+    | st.sampled_from(["none, linear", "tanh"]),
+    "samples": st.integers(1, 30),
+    "sweep_points": st.integers(1, 30),
+}
+
+
+def _value_of(key):
+    """A plausible value of ``key``, or any other."""
+    return _PLAUSIBLE.get(key, st.floats(-2.0, 2.0) | st.floats(1e-12, 1.0)) | _VALUES
+
+
+def _entries(keys, max_size=6):
+    return st.lists(keys, max_size=max_size, unique=True).flatmap(
+        lambda names: st.fixed_dictionaries({k: _value_of(k) for k in names})
+    )
+
+
+def _bounded_grid(entries: dict) -> dict:
+    """``entries`` with a ``sweep_points`` count that passes validation held
+    below 10**4: the loader allocates the grid, and counts too large to
+    allocate are rows of test_exit_code."""
+    points = entries.get("sweep_points")
+    if isinstance(points, (int, str)) and not isinstance(points, bool):
+        try:
+            if 10**4 < int(points) <= sys.maxsize:
+                return {**entries, "sweep_points": 10**4}
+        except ValueError:
+            pass
+    return entries
+
+
+def _key_value_text(entries: dict, junk: list) -> str:
+    return "\n".join([*(f"{k} = {v}" for k, v in _bounded_grid(entries).items()), *junk])
+
+
+_PROBLEM_DOCS = st.builds(
+    lambda doc, extra: {**extra, **doc},
+    st.fixed_dictionaries(
+        {
+            "target": st.floats(0.0, 1.0).map(
+                lambda a: {"alpha": a, "beta": math.sqrt(1.0 - a * a), "phi": 0.5}
+            )
+            | st.floats(0.0, 1.0).map(
+                lambda a: {"g_re": a, "g_im": 0.0, "f_re": 0.0, "f_im": math.sqrt(1.0 - a * a)}
+            )
+            | st.dictionaries(
+                st.sampled_from(["alpha", "beta", "phi", "g_re", "g_im", "f_re", "f_im"]),
+                st.floats(-1.0, 1.0) | _LEAVES,
+                max_size=4,
+            )
+            | _VALUES,
+            "free_parameters": st.dictionaries(
+                st.sampled_from(control.CONTROL_PARAMETERS) | st.text(max_size=6),
+                st.lists(st.floats(0.0, 50.0), min_size=2, max_size=2).map(sorted)
+                | st.lists(_LEAVES, min_size=2, max_size=2)
+                | _VALUES,
+                min_size=1,
+                max_size=2,
+            )
+            | _VALUES,
+        },
+        optional={
+            "base": _entries(st.sampled_from([*CONFIG_KEYS, "delta_tau"]) | _INPUT_KEYS, 3)
+            | _VALUES,
+            "leak_weight": st.floats(0.0, 2.0) | _VALUES,
+            "grid_points": st.integers(1, 5) | _VALUES,
+            "eval_rel_tol": st.floats(1e-10, 1e-6) | _VALUES,
+        },
+    ),
+    st.just({}) | st.dictionaries(st.text(max_size=6), _VALUES, max_size=1),
+)
+
+_SWEEP_ENTRIES = st.builds(
+    lambda sweep, extra: {**extra, **sweep},
+    st.fixed_dictionaries(
+        {"sweep_parameter": _value_of("sweep_parameter")},
+        optional={k: _value_of(k) for k in _SWEEP_FILE_KEYS[1:]},
+    ),
+    _entries(_INPUT_KEYS, max_size=2),
+)
+_INPUTS = st.one_of(
+    *(
+        st.builds(_key_value_text, entries, st.lists(st.text(max_size=12), max_size=2))
+        | entries.map(lambda doc: json.dumps(_bounded_grid(doc)))
+        for entries in (_entries(_INPUT_KEYS), _SWEEP_ENTRIES)
+    ),
+    _PROBLEM_DOCS.map(json.dumps),
+)
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(text=_INPUTS)
+@example(text='{"alpha": 1' + "0" * 400 + "}")
+@example(text=_problem(free_parameters={"delta_tau": [30.0, 10**400]}))
+@example(text='{"samples": 1' + "0" * 5000 + "}")
+@example(text='{"alpha": ' + "[" * 100000 + "]" * 100000 + "}")
+@example(text="sweep_parameter = chi\nsweep_start = -1e308\nsweep_stop = 1e308\nsweep_points = 3")
+def test_every_input_loads_or_raises_config_error(tmp_path, text):
+    # one file, read as a config, a sweep file and a problem document; none
+    # of them integrates
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    args = cli.build_parser().parse_args(["sweep", "--config", str(path), "--out", "unused"])
+    loaders = [
+        lambda: build_config(load_config_file(str(path))),
+        lambda: cli._load_sweep_spec(args),
+        lambda: cli._load_problem(str(path)),
+    ]
+    # numpy warns on overflow in grids such as 1e308, -1e308 before they are
+    # rejected; on the command line that is a warning and exit 2, not an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for load in loaders:
+            try:
+                load()
+            except ConfigError:
+                pass
 
 
 @pytest.mark.parametrize(

@@ -424,9 +424,9 @@ class TestOneParameterRefinement:
         assert any(x > 41.0 for x in calls[5:-1])
         assert "refinement point" in caplog.text
         assert abs(result.parameters["delta_tau"] - 40.8) <= 1e-4
-        # failed grid points are not counted
+        # failed grid points are counted, as every integration that ran
         assert len(result.grid_failures) == 2
-        assert result.evaluations == len(calls) - 2
+        assert result.evaluations == len(calls)
 
     @pytest.mark.parametrize(
         "name, bounds, base",
@@ -456,8 +456,9 @@ class TestOneParameterRefinement:
         serial = solve(problem, grid_points=2, workers=1)
         assert solve(problem, grid_points=2, workers=2) == serial
         assert len(serial.grid_failures) == 1
-        # one grid point, one probe inside the lower bound, one final run
-        assert serial.evaluations == 3
+        # two grid points, one of them failed, one probe inside the lower
+        # bound and one final run
+        assert serial.evaluations == 4
         assert serial.parameters == {"chi": 0.5}
 
     def test_search_style_problem_costs_at_most_12_integrations(self):

@@ -533,6 +533,14 @@ class TestEngines:
         assert [p.name for p in tmp_path.iterdir()] == [first.name]
         assert _kernel.load(second).qr_dopri45 is not None
 
+    def test_new_build_removes_stale_kernels(self, tmp_path):
+        if shutil.which("cc") is None and shutil.which("gcc") is None:
+            pytest.skip("no C compiler (cc or gcc) on PATH")
+        (tmp_path / "_kernel-0000000000000000.so").write_bytes(b"an older build")
+        (tmp_path / "_kernel-running.tmp").write_bytes(b"a build in progress")
+        built = _kernel.compile_library(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [built.name, "_kernel-running.tmp"]
+
     def test_kernel_compiles_without_warnings(self, tmp_path):
         cc = shutil.which("cc") or shutil.which("gcc")
         if cc is None:
